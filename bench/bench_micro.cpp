@@ -110,6 +110,14 @@ void BM_Place(benchmark::State& state) {
   }
 }
 
+/// Exports one route() call's A* work. The counts are deterministic, so
+/// they tell a change in work from a change in speed.
+void set_route_counters(benchmark::State& state, const route::RoutingStats& s) {
+  state.counters["searches"] = static_cast<double>(s.searches);
+  state.counters["heap_pops"] = static_cast<double>(s.heap_pops);
+  state.counters["heap_pushes"] = static_cast<double>(s.heap_pushes);
+}
+
 void BM_Route(benchmark::State& state) {
   const auto nl = make_bench("c880");
   place::Placer placer;
@@ -118,10 +126,13 @@ void BM_Route(benchmark::State& state) {
   route::RouterOptions opts;
   opts.gcell_um = 1.4;
   route::Router router(opts);
+  route::RoutingStats stats;
   for (auto _ : state) {
     const auto r = router.route(tasks, pl.floorplan.die, lib().metal());
     benchmark::DoNotOptimize(r.stats.total_vias());
+    stats = r.stats;
   }
+  set_route_counters(state, stats);
 }
 
 // Router throughput on a full placed netlist, one rig per scheduler.
@@ -159,12 +170,15 @@ void route_nets(benchmark::State& state, route::RoutePartition partition,
   opts.partition = partition;
   opts.jobs = jobs;
   route::Router router(opts);
+  route::RoutingStats stats;
   for (auto _ : state) {
     const auto r = router.route(rig.tasks, rig.pl.floorplan.die, lib().metal());
     benchmark::DoNotOptimize(r.stats.total_vias());
+    stats = r.stats;
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(rig.tasks.size()));
+  set_route_counters(state, stats);
 }
 
 void BM_RouteNets(benchmark::State& state) {

@@ -176,7 +176,8 @@ inline void print_header(const char* what) {
   std::printf("\n==== %s ====\n", what);
   std::printf(
       "(synthetic benchmark clones; expect the paper's *shape*, not its "
-      "absolute numbers — see EXPERIMENTS.md)\n\n");
+      "absolute numbers — see the workloads section of "
+      "docs/ARCHITECTURE.md)\n\n");
 }
 
 }  // namespace sm::bench

@@ -86,10 +86,11 @@ namespace {
 
 /// Round-shared congestion state: committed usage, negotiation history,
 /// blockages, per-layer capacities, and the PathFinder pressure schedule.
-/// During a round's parallel re-route phase it is strictly read-only (the
-/// snapshot every Searcher prices against); all mutation — the greedy keep
-/// selection, usage commits, history bumps — happens single-threaded
-/// between rounds. That snapshot-commit discipline is what makes the
+/// History, pressure and the keep selection change only single-threaded
+/// between rounds. Usage changes during a round too: under Rounds only
+/// between chunks (each chunk searches against a frozen snapshot), under
+/// Tree after every net, but only inside that net's window, which no
+/// concurrently routing net's window overlaps. Either discipline makes the
 /// router's output independent of RouterOptions::jobs.
 class CongestionState {
  public:
@@ -170,19 +171,35 @@ class CongestionState {
   double pressure_ = 1.0;
 };
 
+/// A* work of one net, summed over all its searches in every pass
+/// (clipped searches and their unclipped retries alike).
+struct SearchWork {
+  std::uint64_t searches = 0;
+  std::uint64_t heap_pops = 0;
+  std::uint64_t heap_pushes = 0;
+};
+
 /// Per-worker A* search state with epoch-stamped arrays, so repeated
-/// searches cost O(visited), not O(grid). Reads the round's frozen
-/// CongestionState and never writes it. Which worker's Searcher routes
-/// which net is scheduling-dependent but provably irrelevant: every search
-/// bumps its epoch first, so no state of any previous search (on this or
-/// any other net) is ever read.
+/// searches cost O(visited), not O(grid). Reads the CongestionState and
+/// never writes it; the caller commits a net's usage after its searches.
+/// Which worker's Searcher routes which net is scheduling-dependent but
+/// provably irrelevant: every search bumps its epoch first, so no state of
+/// any previous search (on this or any other net) is ever read.
+///
+/// Cost model: a lateral step costs the entered node's node_cost (>= 1), a
+/// via step via_cost plus that (>= via_cost + 1), plus the net's tie jitter.
+/// G-scores are doubles: float rounding at die-scale path costs exceeds the
+/// jitter, so near-ties would fall to expansion order and the route would
+/// depend on the heuristic. In double the jittered cheapest path is unique
+/// and A* returns it under any consistent heuristic.
 class Searcher {
  public:
   Searcher(const RouteGrid& grid, const MetalStack& stack,
            const RouterOptions& opts, const CongestionState& cong)
-      : grid_(&grid), opts_(&opts), cong_(&cong) {
+      : grid_(&grid), opts_(&opts), cong_(&cong),
+        via_lb_(opts.via_cost + 1.0) {
     const std::size_t n = grid.num_nodes();
-    gscore_.assign(n, 0.0f);
+    gscore_.assign(n, 0.0);
     parent_.assign(n, 0);
     epoch_mark_.assign(n, 0);
     closed_mark_.assign(n, 0);
@@ -191,7 +208,7 @@ class Searcher {
     wx1_ = grid.nx() - 1;
     wy1_ = grid.ny() - 1;
     // Layer metadata resolved once: MetalStack::layer() is an out-of-line
-    // call that shows up at 27M A* edge relaxations per sweep.
+    // call, too slow for every A* edge relaxation.
     preferred_.resize(static_cast<std::size_t>(grid.layers()) + 1);
     for (int l = 1; l <= grid.layers(); ++l)
       preferred_[static_cast<std::size_t>(l)] = stack.layer(l).preferred;
@@ -237,13 +254,13 @@ class Searcher {
 
   /// A* from `start` to any node in `targets` (marked via target_mark_).
   /// Layers below `min_layer` are off-limits. Returns the reached target
-  /// node or npos; parent_ encodes the path.
+  /// node or npos; parent_ encodes the path. Adds its heap traffic to `work`.
   std::size_t search(std::size_t start, const std::vector<std::size_t>& targets,
-                     int min_layer) {
+                     int min_layer, SearchWork& work) {
     ++epoch_;
     // Mark targets and compute their bbox for the heuristic.
-    tminx_ = tminy_ = std::numeric_limits<int>::max();
-    tmaxx_ = tmaxy_ = std::numeric_limits<int>::min();
+    tminx_ = tminy_ = tminl_ = std::numeric_limits<int>::max();
+    tmaxx_ = tmaxy_ = tmaxl_ = std::numeric_limits<int>::min();
     for (const auto t : targets) {
       closed_mark_[t] = 0;  // ensure not stale-closed
       target_set_.push_back(t);
@@ -252,6 +269,8 @@ class Searcher {
       tmaxx_ = std::max(tmaxx_, g.x);
       tminy_ = std::min(tminy_, g.y);
       tmaxy_ = std::max(tmaxy_, g.y);
+      tminl_ = std::min(tminl_, g.layer);
+      tmaxl_ = std::max(tmaxl_, g.layer);
       target_mark_[t] = epoch_;
     }
 
@@ -259,16 +278,18 @@ class Searcher {
     // once the buffer has grown (std::priority_queue would be a fresh
     // vector per call — measurable at this call volume).
     heap_.clear();
-    gscore_[start] = 0.0f;
+    gscore_[start] = 0.0;
     epoch_mark_[start] = epoch_;
     parent_[start] = static_cast<std::uint32_t>(start);
     heap_.emplace_back(heuristic(grid_->at(start)), start);
+    std::uint64_t pops = 0, pushes = 1;
 
     std::size_t found = npos;
     while (!heap_.empty()) {
       std::pop_heap(heap_.begin(), heap_.end(), std::greater<>());
       const auto [f, node] = heap_.back();
       heap_.pop_back();
+      ++pops;
       if (closed_mark_[node] == epoch_) continue;
       closed_mark_[node] = epoch_;
       if (target_mark_[node] == epoch_) {
@@ -283,16 +304,15 @@ class Searcher {
         // Blockages forbid lateral wiring; vias (layer changes) pass.
         if (ng.layer == g.layer && cong_->blocked(ni)) return;
         if (closed_mark_[ni] == epoch_) return;
-        const double ng_cost = static_cast<double>(gscore_[node]) + step_cost +
+        const double ng_cost = gscore_[node] + step_cost +
                                cong_->node_cost(ni, ng.layer) + jitter(ni);
-        if (epoch_mark_[ni] == epoch_ &&
-            static_cast<double>(gscore_[ni]) <= ng_cost)
-          return;
+        if (epoch_mark_[ni] == epoch_ && gscore_[ni] <= ng_cost) return;
         epoch_mark_[ni] = epoch_;
-        gscore_[ni] = static_cast<float>(ng_cost);
+        gscore_[ni] = ng_cost;
         parent_[ni] = static_cast<std::uint32_t>(node);
         heap_.emplace_back(ng_cost + heuristic(ng), ni);
         std::push_heap(heap_.begin(), heap_.end(), std::greater<>());
+        ++pushes;
       };
       const auto dir = preferred_[static_cast<std::size_t>(g.layer)];
       if (dir == netlist::Direction::Horizontal) {
@@ -309,6 +329,9 @@ class Searcher {
     // Clear target marks for the next search.
     for (const auto t : target_set_) target_mark_[t] = 0;
     target_set_.clear();
+    ++work.searches;
+    work.heap_pops += pops;
+    work.heap_pushes += pushes;
     return found;
   }
 
@@ -323,15 +346,26 @@ class Searcher {
   }
 
  private:
+  /// Lower bound on the cost from `g` to the nearest target:
+  ///   dx + dy + (via_cost + 1) * max(layer_gap, turn),
+  /// with dx, dy, layer_gap the distances to the targets' bounding box and
+  /// layer span, and turn = 1 when g's layer cannot move along the
+  /// remaining offset (a horizontal layer with dy > 0, a vertical one with
+  /// dx > 0). Admissible: reaching any target takes >= dx + dy lateral
+  /// steps (cost >= 1 each) and >= max(layer_gap, turn) vias (cost >=
+  /// via_cost + 1 each). Consistent: a lateral step changes only dx or dy,
+  /// by at most 1; a via step changes max(layer_gap, turn) by at most 1.
   /// Takes the point, not the index: callers already hold the GridPoint,
-  /// and the at() division is real money at 27M relaxations per sweep.
+  /// and the at() division is real money on every relaxation.
   double heuristic(const GridPoint& g) const {
-    double h = 0;
-    if (g.x < tminx_) h += tminx_ - g.x;
-    if (g.x > tmaxx_) h += g.x - tmaxx_;
-    if (g.y < tminy_) h += tminy_ - g.y;
-    if (g.y > tmaxy_) h += g.y - tmaxy_;
-    return h;  // >= remaining steps, each of cost >= 1 (jitter only adds)
+    const int dx = std::max({0, tminx_ - g.x, g.x - tmaxx_});
+    const int dy = std::max({0, tminy_ - g.y, g.y - tmaxy_});
+    const int layer_gap = std::max({0, tminl_ - g.layer, g.layer - tmaxl_});
+    const bool horizontal = preferred_[static_cast<std::size_t>(g.layer)] ==
+                            netlist::Direction::Horizontal;
+    const int turn = (horizontal ? dy : dx) > 0 ? 1 : 0;
+    return static_cast<double>(dx + dy) +
+           via_lb_ * static_cast<double>(std::max(layer_gap, turn));
   }
 
   /// Deterministic per-(net, node) tie-break noise in [0, tie_jitter).
@@ -350,7 +384,8 @@ class Searcher {
   const RouteGrid* grid_;
   const RouterOptions* opts_;
   const CongestionState* cong_;
-  std::vector<float> gscore_;
+  double via_lb_;  ///< lower bound on a via step's cost
+  std::vector<double> gscore_;
   std::vector<std::uint32_t> parent_;
   std::vector<std::uint32_t> epoch_mark_;
   std::vector<std::uint32_t> closed_mark_;
@@ -363,7 +398,7 @@ class Searcher {
   std::uint32_t tree_epoch_ = 0;
   std::uint64_t jitter_seed_ = 0;
   double jitter_scale_ = 0.0;
-  int tminx_ = 0, tmaxx_ = 0, tminy_ = 0, tmaxy_ = 0;
+  int tminx_ = 0, tmaxx_ = 0, tminy_ = 0, tmaxy_ = 0, tminl_ = 0, tmaxl_ = 0;
   std::int32_t wx0_ = 0, wy0_ = 0, wx1_ = 0, wy1_ = 0;  ///< search window
 };
 
@@ -441,12 +476,12 @@ void stack_nodes(const RouteGrid& grid, const Terminal& t, int to_layer,
 struct TaskState {
   std::vector<std::size_t> nodes;  ///< all grid nodes the net occupies
   NetRoute route;
+  SearchWork work;  ///< accumulated over every pass; never reset
 };
 
-/// Route one net against the round's frozen congestion snapshot. Writes
-/// only `st` (the committed usage is untouched — the caller commits whole
-/// rounds in fixed net order), so any number of these can run concurrently
-/// on distinct nets.
+/// Route one net against the current congestion. Writes only `st` (the
+/// committed usage is untouched — the caller commits the net's nodes), so
+/// any number of these can run concurrently on distinct nets.
 void route_net(const RouteGrid& grid, const RouteTask& task, Searcher& s,
                TaskState& st) {
   st.route = NetRoute{};
@@ -492,7 +527,7 @@ void route_net(const RouteGrid& grid, const RouteTask& task, Searcher& s,
 
     // Degenerate: terminal already on the tree.
     if (!s.tree_has(entry_idx)) {
-      const std::size_t hit = s.search(entry_idx, tree, ml);
+      const std::size_t hit = s.search(entry_idx, tree, ml, st.work);
       if (hit == Searcher::npos) {
         ok = false;
         continue;
@@ -774,6 +809,11 @@ RoutingResult Router::route(const std::vector<RouteTask>& tasks,
     result.routes[i] = std::move(state[i].route);
   result.stats = collect_stats(grid, result.routes);
   result.stats.overflowed_gcells = cong.count_overflow();
+  for (const auto& st : state) {  // fixed net order
+    result.stats.searches += st.work.searches;
+    result.stats.heap_pops += st.work.heap_pops;
+    result.stats.heap_pushes += st.work.heap_pushes;
+  }
   return result;
 }
 

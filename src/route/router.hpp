@@ -45,6 +45,12 @@
 // which thread routes which net never leaks into results
 // (tests/test_route.cpp and tests/test_partition_tree.cpp hold the
 // bit-identity as regressions).
+//
+// Each A* search is guided by a consistent lower bound that also prices
+// the vias the remaining offset needs, and keeps its path costs in double
+// precision, so it returns the unique jittered cheapest path whatever the
+// bound (docs/ARCHITECTURE.md, `route`; tests/test_route.cpp checks the
+// optimality against a reference Dijkstra).
 #pragma once
 
 #include "netlist/netlist.hpp"
@@ -93,6 +99,12 @@ struct RoutingStats {
   std::array<std::uint64_t, netlist::MetalStack::kNumLayers> vias{};
   std::size_t failed_nets = 0;
   std::size_t overflowed_gcells = 0;
+  /// A* work over every pass, including the unclipped retries of nets that
+  /// failed inside their window. Identical for every jobs and
+  /// partition_depth; Router::route fills them, collect_stats leaves 0.
+  std::uint64_t searches = 0;     ///< two-pin connection searches
+  std::uint64_t heap_pops = 0;    ///< open-list pops, stale entries included
+  std::uint64_t heap_pushes = 0;  ///< open-list pushes
 
   double total_wire_um() const;
   std::uint64_t total_vias() const;

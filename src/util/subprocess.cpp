@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include <fcntl.h>
+#include <sys/prctl.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -45,11 +46,21 @@ Child Child::spawn(
   for (const auto& a : argv) cargv.push_back(const_cast<char*>(a.c_str()));
   cargv.push_back(nullptr);
 
+  const pid_t parent = ::getpid();
   const pid_t pid = ::fork();
   if (pid < 0)
     throw std::runtime_error(std::string("subprocess: fork failed: ") +
                              std::strerror(errno));
   if (pid == 0) {
+    // Lead a process group of our own, so the parent's kill(-pid) also
+    // reaches everything this child starts. The parent sets it too: either
+    // call may run first, and both must precede the parent's first signal.
+    ::setpgid(0, 0);
+    // Die with the parent: a killed or interrupted supervisor must not
+    // leave workers behind. The signal is armed only now, so check that the
+    // parent did not die before it.
+    ::prctl(PR_SET_PDEATHSIG, SIGKILL);
+    if (::getppid() != parent) ::_exit(127);
     for (const auto& [k, v] : extra_env) ::setenv(k.c_str(), v.c_str(), 1);
     if (!stdout_path.empty()) {
       const int fd =
@@ -64,29 +75,28 @@ Child Child::spawn(
     // unambiguous to the supervisor (never a fault-injection or sweep code).
     ::_exit(127);
   }
+  // Fails with EACCES once the child has exec'd, which it does only after
+  // its own setpgid: the group exists either way.
+  ::setpgid(pid, pid);
   Child c;
   c.pid_ = pid;
   return c;
 }
 
-Child::~Child() {
+void Child::kill_and_reap() noexcept {
   if (pid_ > 0 && !status_) {
-    ::kill(pid_, SIGKILL);
+    ::kill(-pid_, SIGKILL);
     int status = 0;
     while (::waitpid(pid_, &status, 0) < 0 && errno == EINTR) {
     }
   }
 }
 
+Child::~Child() { kill_and_reap(); }
+
 Child& Child::operator=(Child&& other) noexcept {
   if (this != &other) {
-    // Reap our own child first (same policy as the destructor).
-    if (pid_ > 0 && !status_) {
-      ::kill(pid_, SIGKILL);
-      int status = 0;
-      while (::waitpid(pid_, &status, 0) < 0 && errno == EINTR) {
-      }
-    }
+    kill_and_reap();  // our own child first, as the destructor would
     pid_ = other.pid_;
     status_ = other.status_;
     other.pid_ = -1;
@@ -123,7 +133,7 @@ ExitStatus Child::wait() {
 }
 
 void Child::kill(int sig) {
-  if (pid_ > 0 && !status_) ::kill(pid_, sig);
+  if (pid_ > 0 && !status_) ::kill(-pid_, sig);
 }
 
 std::string self_exe_path() {

@@ -8,6 +8,12 @@
 // supervisor unwinding from an exception must not leave orphan workers
 // appending to the store).
 //
+// Each child leads its own process group, and every signal goes to the
+// whole group, so whatever a worker starts (a shell's `sleep`, say) dies
+// with it. A child also gets SIGKILL when the thread that spawned it dies
+// (PR_SET_PDEATHSIG), so an interrupted supervisor takes its workers down;
+// spawn from a thread that outlives the child.
+//
 // No pipes: workers communicate through the append-only store log (their
 // stdout is routed to /dev/null or a file), which is what makes worker
 // death recoverable in the first place — there is no in-flight protocol
@@ -36,8 +42,8 @@ struct ExitStatus {
   std::string describe() const;
 };
 
-/// One spawned child. Move-only; the destructor kills (SIGKILL) and reaps
-/// any child still running.
+/// One spawned child. Move-only; the destructor kills (SIGKILL) the
+/// child's process group and reaps the child if it is still running.
 class Child {
  public:
   /// Fork + execvp. `argv[0]` is the program (PATH-searched), `extra_env`
@@ -67,10 +73,14 @@ class Child {
   std::optional<ExitStatus> try_wait();
   /// Blocking reap.
   ExitStatus wait();
-  /// Send `sig` (default SIGKILL). No-op once reaped.
+  /// Send `sig` (default SIGKILL) to the child's process group. No-op once
+  /// the child is reaped.
   void kill(int sig = SIGKILL);
 
  private:
+  /// SIGKILL the process group and reap the child, unless already reaped.
+  void kill_and_reap() noexcept;
+
   pid_t pid_ = -1;
   std::optional<ExitStatus> status_;
 };

@@ -191,6 +191,9 @@ void expect_identical_routing(const RoutingResult& a, const RoutingResult& b) {
   EXPECT_DOUBLE_EQ(a.stats.total_wire_um(), b.stats.total_wire_um());
   EXPECT_EQ(a.stats.failed_nets, b.stats.failed_nets);
   EXPECT_EQ(a.stats.overflowed_gcells, b.stats.overflowed_gcells);
+  EXPECT_EQ(a.stats.searches, b.stats.searches);
+  EXPECT_EQ(a.stats.heap_pops, b.stats.heap_pops);
+  EXPECT_EQ(a.stats.heap_pushes, b.stats.heap_pushes);
 }
 
 // The tentpole guarantee: with the tree scheduler, routed layouts are

@@ -1,13 +1,20 @@
 // Router tests: grid math, connectivity of produced routes, min-layer
-// (lifting) constraints, via/wirelength accounting, congestion negotiation.
+// (lifting) constraints, via/wirelength accounting, congestion negotiation,
+// A* optimality against a reference Dijkstra.
 #include "place/placer.hpp"
 #include "route/router.hpp"
 #include "workloads/generator.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdlib>
+#include <functional>
+#include <limits>
 #include <map>
+#include <queue>
 #include <set>
+#include <vector>
 
 namespace {
 
@@ -236,6 +243,9 @@ void expect_identical_routing(const RoutingResult& a, const RoutingResult& b) {
   EXPECT_DOUBLE_EQ(a.stats.total_wire_um(), b.stats.total_wire_um());
   EXPECT_EQ(a.stats.failed_nets, b.stats.failed_nets);
   EXPECT_EQ(a.stats.overflowed_gcells, b.stats.overflowed_gcells);
+  EXPECT_EQ(a.stats.searches, b.stats.searches);
+  EXPECT_EQ(a.stats.heap_pops, b.stats.heap_pops);
+  EXPECT_EQ(a.stats.heap_pushes, b.stats.heap_pushes);
 }
 
 // The tentpole guarantee: sharding the negotiation rounds over any number
@@ -253,6 +263,10 @@ TEST_F(RouterTest, JobsDoNotChangeRoutes) {
   opts.passes = 4;
   opts.jobs = 1;
   const auto serial = Router(opts).route(tasks, pl.floorplan.die, lib.metal());
+  // The A* work counters are live, so comparing them below means something.
+  EXPECT_GT(serial.stats.searches, 0u);
+  EXPECT_GE(serial.stats.heap_pops, serial.stats.searches);
+  EXPECT_GE(serial.stats.heap_pushes, serial.stats.heap_pops);
   for (const std::size_t jobs : {2u, 8u}) {
     opts.jobs = jobs;
     const auto sharded =
@@ -297,6 +311,132 @@ TEST_F(RouterTest, TieJitterIsSeededAndBounded) {
   EXPECT_DOUBLE_EQ(a.stats.total_wire_um(), b.stats.total_wire_um());
   EXPECT_EQ(a.stats.failed_nets, 0u);
   EXPECT_EQ(b.stats.failed_nets, 0u);
+}
+
+/// Cheapest search cost from `from` to any of `targets` under the router's
+/// move rules: lateral steps (cost 1) only along the layer's preferred
+/// direction and never into a blocked gcell, via steps (cost `via_step`)
+/// between adjacent layers, nothing below `min_layer` and nothing outside
+/// `window`. Infinity when no target is reachable.
+double reference_cost(const RouteGrid& grid, const MetalStack& stack,
+                      const std::vector<char>& blocked,
+                      const sm::util::GridRect& window, int min_layer,
+                      double via_step, const GridPoint& from,
+                      const std::vector<GridPoint>& targets) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::vector<double> dist(grid.num_nodes(), kInf);
+  std::vector<char> is_target(grid.num_nodes(), 0);
+  for (const auto& t : targets) is_target[grid.index(t)] = 1;
+  using Entry = std::pair<double, std::size_t>;
+  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> open;
+  dist[grid.index(from)] = 0.0;
+  open.emplace(0.0, grid.index(from));
+  while (!open.empty()) {
+    const auto [d, node] = open.top();
+    open.pop();
+    if (d > dist[node]) continue;
+    if (is_target[node]) return d;
+    const GridPoint g = grid.at(node);
+    auto relax = [&](const GridPoint& n, double cost) {
+      if (!grid.in_bounds(n) || n.layer < min_layer ||
+          !window.contains(n.x, n.y))
+        return;
+      const std::size_t ni = grid.index(n);
+      if (n.layer == g.layer && blocked[ni]) return;
+      if (d + cost < dist[ni]) {
+        dist[ni] = d + cost;
+        open.emplace(dist[ni], ni);
+      }
+    };
+    if (stack.layer(g.layer).preferred == sm::netlist::Direction::Horizontal) {
+      relax({g.x - 1, g.y, g.layer}, 1.0);
+      relax({g.x + 1, g.y, g.layer}, 1.0);
+    } else {
+      relax({g.x, g.y - 1, g.layer}, 1.0);
+      relax({g.x, g.y + 1, g.layer}, 1.0);
+    }
+    relax({g.x, g.y, g.layer - 1}, via_step);
+    relax({g.x, g.y, g.layer + 1}, via_step);
+  }
+  return kInf;
+}
+
+// A* must return a cheapest path. Each random two-pin net routes alone on
+// an empty grid with no tie jitter, so a lateral step costs exactly 1 and a
+// via exactly via_cost + 1, and the route's search cost (its terminal via
+// stacks aside) must equal a plain Dijkstra's over the same move rules and
+// the same clipped window. A heuristic that overestimates by as little as
+// one via on some nodes returns a costlier path on some of these nets.
+TEST_F(RouterTest, AStarReturnsCheapestPath) {
+  const Rect area{{0, 0}, {112, 84}};  // 40 x 30 gcells
+  // Lateral wiring is blocked on M1-M7 in the middle of the area; vias and
+  // M8-M10 stay open, so every net still routes inside its window.
+  const Blockage blockage{Rect{{30, 20}, {75, 60}}, 1, 7};
+  RouterOptions opts;
+  opts.tie_jitter = 0.0;
+  opts.passes = 1;
+  const double via_step = opts.via_cost + 1.0;
+  sm::util::Rng rng(11);
+  for (const int min_layer : {1, 3, 6}) {
+    for (const bool with_blockage : {false, true}) {
+      opts.blockages.clear();
+      if (with_blockage) opts.blockages.push_back(blockage);
+      // Enough nets that swapping the turn test's axes, or adding layer_gap
+      // and turn instead of taking their max, returns a costlier path.
+      for (int i = 0; i < 150; ++i) {
+        RouteTask t;
+        t.net = static_cast<sm::netlist::NetId>(i);
+        t.min_layer = min_layer;
+        t.terminals = {{{rng.uniform(0, 112), rng.uniform(0, 84)}, 1},
+                       {{rng.uniform(0, 112), rng.uniform(0, 84)}, 1}};
+        const auto res = Router(opts).route({t}, area, stack);
+        const RouteGrid& grid = res.grid;
+        ASSERT_TRUE(res.routes[0].success);
+
+        // The route's cost: every wire gcell, and every via except the two
+        // terminal stacks from the pins (M1) up to min_layer.
+        double lateral = 0;
+        int vias = 0;
+        for (const auto& seg : res.routes[0].segments) {
+          if (seg.is_via())
+            vias += std::abs(seg.a.layer - seg.b.layer);
+          else
+            lateral += seg.gcell_length();
+        }
+        vias -= 2 * (min_layer - 1);
+        const double cost = lateral + via_step * vias;
+
+        // The reference: from the sink's entry node to the driver's stack,
+        // clipped to the terminal bbox inflated by bbox_margin.
+        std::vector<char> blocked(grid.num_nodes(), 0);
+        for (const auto& b : opts.blockages) {
+          const GridPoint lo = grid.snap(b.region.lo, 1);
+          const GridPoint hi = grid.snap(b.region.hi, 1);
+          for (int l = b.min_layer; l <= b.max_layer; ++l)
+            for (int y = lo.y; y <= hi.y; ++y)
+              for (int x = lo.x; x <= hi.x; ++x)
+                blocked[grid.index({x, y, l})] = 1;
+        }
+        const GridPoint drv = grid.snap(t.terminals[0].pos, 1);
+        const GridPoint snk = grid.snap(t.terminals[1].pos, 1);
+        sm::util::GridRect window;
+        window.expand(drv.x, drv.y);
+        window.expand(snk.x, snk.y);
+        window = window.inflated(opts.bbox_margin)
+                     .clamped({0, 0, grid.nx() - 1, grid.ny() - 1});
+        std::vector<GridPoint> targets;
+        for (int l = 1; l <= min_layer; ++l)
+          targets.push_back({drv.x, drv.y, l});
+        const double ref =
+            reference_cost(grid, stack, blocked, window, min_layer, via_step,
+                           {snk.x, snk.y, min_layer}, targets);
+        ASSERT_TRUE(std::isfinite(ref));
+        EXPECT_DOUBLE_EQ(cost, ref)
+            << "net " << i << " min_layer " << min_layer << " blockage "
+            << with_blockage << ": " << drv << " <- " << snk;
+      }
+    }
+  }
 }
 
 TEST_F(RouterTest, MakeTasksFromNetlist) {

@@ -2,8 +2,9 @@
 // the quarantine semantics it layers onto the store: work-unit expansion,
 // worker grid-spec round trips, deterministic backoff, the serve() loop
 // against /bin/sh stand-in workers (success, poison cell, partial
-// progress, watchdog, pre-stored state), failed-record serialization with
-// ok-beats-failed merging, degraded materialization, and sweep resume
+// progress, watchdog killing the worker's whole process group, pre-stored
+// state), workers dying with their supervisor, failed-record serialization
+// with ok-beats-failed merging, degraded materialization, and sweep resume
 // skipping quarantined cells.
 #include "sweep/supervisor.hpp"
 
@@ -12,11 +13,17 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <csignal>
 #include <cstdio>
 #include <fstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
+
+#include <sys/wait.h>
+#include <unistd.h>
 
 namespace {
 
@@ -61,6 +68,25 @@ void write_lines(const std::string& path,
                  const std::vector<std::string>& lines) {
   std::ofstream out(path, std::ios::trunc);
   for (const auto& l : lines) out << l << "\n";
+}
+
+/// True once `pid` has died, polling for up to 2 s (SIGKILL is delivered
+/// asynchronously). A zombie counts as dead: PID 1 in a container may never
+/// reap the orphans re-parented to it.
+bool eventually_gone(pid_t pid) {
+  const std::string path = "/proc/" + std::to_string(pid) + "/stat";
+  for (int i = 0; i < 400; ++i) {
+    std::ifstream in(path);
+    std::string stat;
+    if (!std::getline(in, stat)) return true;
+    // The state follows the parenthesized command name.
+    const auto close = stat.rfind(')');
+    if (close != std::string::npos && close + 2 < stat.size() &&
+        (stat[close + 2] == 'Z' || stat[close + 2] == 'X'))
+      return true;
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  return false;
 }
 
 // A ServeOptions::command that runs `script` through /bin/sh regardless of
@@ -290,7 +316,10 @@ TEST(Serve, QuarantinesPoisonCellsAfterMaxRetries) {
 TEST(Serve, WatchdogKillsHungWorkers) {
   const auto grid = two_cell_grid();
   const auto store = temp_store("sm_serve_hang.jsonl");
-  auto opts = sh_serve(store, "sleep 30");
+  const auto pids = temp_store("sm_serve_hang.pids");
+  // The hung worker is a shell waiting on a grandchild: the watchdog must
+  // take down the worker's whole process group, not just the shell.
+  auto opts = sh_serve(store, "sleep 30 & echo $! >> " + pids + "; wait");
   opts.cell_timeout_s = 0.05;  // 2 missing cells -> 100 ms deadline
   opts.max_retries = 1;        // first death quarantines
 
@@ -299,7 +328,47 @@ TEST(Serve, WatchdogKillsHungWorkers) {
   EXPECT_EQ(report.worker_deaths, 2u);
   EXPECT_EQ(report.quarantined, 2u);
   EXPECT_TRUE(report.complete());
+
+  // A worker killed before its shell got to record the pid leaves no line;
+  // the 100 ms deadline leaves both shells ample time, so expect at least one.
+  std::ifstream in(pids);
+  std::size_t recorded = 0;
+  for (pid_t pid = 0; in >> pid; ++recorded)
+    EXPECT_TRUE(eventually_gone(pid)) << "grandchild " << pid << " survived";
+  EXPECT_GE(recorded, 1u);
+  EXPECT_LE(recorded, 2u);
   std::remove(store.c_str());
+  std::remove(pids.c_str());
+}
+
+TEST(Subprocess, ChildDiesWithItsParent) {
+  const auto pidfile = temp_store("sm_orphan.pid");
+  // A stand-in supervisor: spawns a worker that records its pid, then
+  // waits to be killed. SIGKILL gives it no chance to clean up.
+  const pid_t supervisor = ::fork();
+  ASSERT_GE(supervisor, 0);
+  if (supervisor == 0) {
+    try {
+      const auto child = util::Child::spawn(
+          {"/bin/sh", "-c", "echo $$ > " + pidfile + "; exec sleep 30"});
+      ::pause();
+    } catch (...) {
+    }
+    ::_exit(1);
+  }
+  pid_t worker = 0;
+  for (int i = 0; i < 1000 && worker == 0; ++i) {
+    std::ifstream in(pidfile);
+    if (!(in >> worker)) {
+      worker = 0;
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+  }
+  ::kill(supervisor, SIGKILL);
+  ::waitpid(supervisor, nullptr, 0);
+  ASSERT_GT(worker, 0) << "worker never recorded its pid";
+  EXPECT_TRUE(eventually_gone(worker)) << "worker " << worker << " survived";
+  std::remove(pidfile.c_str());
 }
 
 TEST(Serve, SpawnsNothingWhenStoreAlreadyCovers) {
