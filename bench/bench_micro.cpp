@@ -135,15 +135,8 @@ void BM_Route(benchmark::State& state) {
   set_route_counters(state, stats);
 }
 
-// Router throughput on a full placed netlist, one rig per scheduler.
-// RouteNets{,Jobs} pin the PR-5 round-based snapshot-commit scheduler
-// (RoutePartition::Rounds) so the two schedulers stay comparable across
-// releases; RoutePartitionTree{,Jobs} run the spatial partition tree with
-// live in-region congestion (the default). Within each scheduler, routes
-// are bit-identical for every jobs value (tests/test_route.cpp,
-// tests/test_partition_tree.cpp) — only the wall time moves. The fine
-// gcell and extra passes make negotiation do real rip-up work, which is
-// the stage both parallel schemes target.
+// Router throughput on a full placed netlist (c2670). The fine gcell and
+// extra passes make negotiation do real rip-up work.
 struct RouteRig {
   netlist::Netlist nl;
   place::Placement pl;
@@ -161,14 +154,11 @@ struct RouteRig {
   }
 };
 
-void route_nets(benchmark::State& state, route::RoutePartition partition,
-                std::size_t jobs) {
+void BM_RouteNets(benchmark::State& state) {
   const auto& rig = RouteRig::instance();
   route::RouterOptions opts;
   opts.gcell_um = 1.4;
   opts.passes = 4;
-  opts.partition = partition;
-  opts.jobs = jobs;
   route::Router router(opts);
   route::RoutingStats stats;
   for (auto _ : state) {
@@ -179,24 +169,6 @@ void route_nets(benchmark::State& state, route::RoutePartition partition,
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(rig.tasks.size()));
   set_route_counters(state, stats);
-}
-
-void BM_RouteNets(benchmark::State& state) {
-  route_nets(state, route::RoutePartition::Rounds, 1);
-}
-
-void BM_RouteNetsJobs(benchmark::State& state) {
-  route_nets(state, route::RoutePartition::Rounds,
-             static_cast<std::size_t>(state.range(0)));
-}
-
-void BM_RoutePartitionTree(benchmark::State& state) {
-  route_nets(state, route::RoutePartition::Tree, 1);
-}
-
-void BM_RoutePartitionTreeJobs(benchmark::State& state) {
-  route_nets(state, route::RoutePartition::Tree,
-             static_cast<std::size_t>(state.range(0)));
 }
 
 void BM_ProximityAttack(benchmark::State& state) {
@@ -379,14 +351,6 @@ BENCHMARK(BM_Randomize);
 BENCHMARK(BM_Place);
 BENCHMARK(BM_Route);
 BENCHMARK(BM_RouteNets)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_RouteNetsJobs)->Arg(1)->Arg(2)->Arg(4)->Unit(
-    benchmark::kMillisecond);
-BENCHMARK(BM_RoutePartitionTree)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_RoutePartitionTreeJobs)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_ProximityAttack);
 BENCHMARK(BM_AttackCandidatesBrute)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_AttackCandidatesIndexed)->Unit(benchmark::kMillisecond);

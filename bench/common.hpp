@@ -19,23 +19,12 @@
 //                   --jobs when sweeping many benchmarks and --attack-jobs
 //                   when drilling into one large instance — combining both
 //                   oversubscribes the machine.
-//   --route-jobs=<n>   worker threads inside each router run (negotiation
-//                   rounds shard their net re-routes); default 1, routes
-//                   bit-identical for any value. Same stacking caveat as
-//                   --attack-jobs.
-//   --route-passes=<n>   router rip-up-and-reroute rounds (default: the
+//   --route-passes=<n>   router rip-up-and-reroute passes (default: the
 //                   suite tuning, currently 3)
-//   --route-partition=tree|rounds   router re-route scheduler: the spatial
-//                   partition tree with live in-region congestion (default)
-//                   or the legacy snapshot-commit rounds (changes which
-//                   layout is produced; each is deterministic on its own)
-//   --partition-depth=<n>   tree depth where the router's parallel tasks
-//                   fan out (default auto; pure scheduling — layouts are
-//                   bit-identical for every value)
 //   --detailed-passes=<n>  placer greedy-swap refinement sweeps (default:
 //                   the per-suite tuning, 2 ISCAS / 1 superblue)
 //
-//   The three layout-engine flags are applied via apply_layout_flags(),
+//   The two layout-engine flags are applied via apply_layout_flags(),
 //   currently wired into the table 1/4/5 benches — the remaining benches
 //   parse but ignore them (like --jobs on the serial benches; see
 //   docs/CLI.md for the wiring status).
@@ -64,11 +53,7 @@ struct SuiteOptions {
   bool quick = false;
   std::size_t jobs = 1;         ///< threads for the benchmark loop; 0 = hw
   std::size_t attack_jobs = 1;  ///< threads inside each proximity attack
-  std::size_t route_jobs = 1;   ///< threads inside each router run
-  std::size_t route_passes = 0; ///< router negotiation rounds; 0 = suite default
-  route::RoutePartition route_partition =
-      route::RoutePartition::Tree;  ///< re-route scheduler
-  int partition_depth = -1;     ///< tree fan-out depth; -1 = auto
+  std::size_t route_passes = 0; ///< router negotiation passes; 0 = suite default
   int detailed_passes = -1;     ///< placer refinement sweeps; -1 = suite default
   std::vector<std::string> only;  ///< benchmark filter (empty = all)
 };
@@ -83,18 +68,11 @@ inline SuiteOptions parse_suite(int argc, const char* const* argv) {
   s.quick = args.get_bool("quick", false);
   s.jobs = args.get_count("jobs", 1);
   s.attack_jobs = args.get_count("attack-jobs", 1);
-  s.route_jobs = args.get_count("route-jobs", 1);
   if (args.has("route-passes")) {
     s.route_passes = args.get_count("route-passes", 0);
     if (s.route_passes == 0)
       throw std::invalid_argument("bench: --route-passes must be >= 1");
   }
-  if (args.has("route-partition"))
-    s.route_partition =
-        route::route_partition_from_string(args.get("route-partition", ""));
-  if (args.has("partition-depth"))
-    s.partition_depth =
-        static_cast<int>(args.get_count("partition-depth", 0));
   if (args.has("detailed-passes"))
     s.detailed_passes =
         static_cast<int>(args.get_count("detailed-passes", 0));
@@ -102,16 +80,13 @@ inline SuiteOptions parse_suite(int argc, const char* const* argv) {
   return s;
 }
 
-/// Apply the layout-engine flags (--route-passes / --route-jobs /
-/// --detailed-passes) on top of a suite's tuned FlowOptions. Unset flags
-/// keep the suite tuning (sentinels 0 / -1), so retuning a suite default
-/// can never be silently undone by a flag nobody passed.
+/// Apply the layout-engine flags (--route-passes / --detailed-passes) on
+/// top of a suite's tuned FlowOptions. Unset flags keep the suite tuning
+/// (sentinels 0 / -1), so retuning a suite default can never be silently
+/// undone by a flag nobody passed.
 inline core::FlowOptions apply_layout_flags(core::FlowOptions f,
                                             const SuiteOptions& s) {
   if (s.route_passes > 0) f.router.passes = static_cast<int>(s.route_passes);
-  f.router.jobs = s.route_jobs;
-  f.router.partition = s.route_partition;
-  f.router.partition_depth = s.partition_depth;
   if (s.detailed_passes >= 0) f.placer.detailed_passes = s.detailed_passes;
   return f;
 }

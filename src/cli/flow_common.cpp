@@ -47,20 +47,7 @@ FlowSetup parse_setup(const util::Args& args) {
   s.flow.buffering = args.get_bool("buffering", false);
 
   // Layout-engine knobs, strictly validated like the sweep's numeric flags
-  // (get_count throws on anything but plain digits). --jobs shards the
-  // router's negotiation rounds — and, for attack/report, the attack
-  // phases too; the phases run one after another, so this never stacks
-  // thread pools. All results are bit-identical for any --jobs value.
-  s.flow.router.jobs = args.get_count("jobs", 1);
-  // --route-partition=rounds falls back to the PR-5 snapshot-commit
-  // scheduler; --partition-depth caps the tree's parallel fan-out depth
-  // (scheduling only — routed layouts are identical for every value).
-  if (args.has("route-partition"))
-    s.flow.router.partition =
-        route::route_partition_from_string(args.get("route-partition", ""));
-  if (args.has("partition-depth"))
-    s.flow.router.partition_depth =
-        static_cast<int>(args.get_count("partition-depth", 0));
+  // (get_count throws on anything but plain digits).
   const std::size_t route_passes = args.get_count("route-passes", 3);
   if (route_passes == 0)
     throw std::invalid_argument("--route-passes must be >= 1");

@@ -59,15 +59,9 @@ int usage(std::FILE* to) {
       "            [--out-verilog=F] erroneous netlist  [--out-def=F] layout\n"
       "  split     cut the layout, print FEOL fragment/vpin statistics\n"
       "            [--out-def=F] FEOL-only DEF with VPINS  [--unprotected]\n"
-      "            (both: --jobs shards the router; layouts are\n"
-      "            bit-identical for any --jobs value)\n"
       "  attack    proximity attack on the FEOL; CCR/OER/HD\n"
       "            [--unprotected] [--no-direction] [--no-load] [--no-loops]\n"
       "            [--candidates=N] [--jobs=N] [--index-threshold=N]\n"
-      "            [--mcmf=warm|cold] loop-repair solver: warm keeps one\n"
-      "            live min-cost-flow and re-routes only removed arcs\n"
-      "            (default), cold rebuilds each round; both produce the\n"
-      "            identical assignment\n"
       "            [--sim-lanes=N] simulation lane width 1|4|8 (0 = auto);\n"
       "            OER/HD are bit-identical for any lane width\n"
       "            (results are bit-identical for any --jobs value)\n"
@@ -126,14 +120,10 @@ int usage(std::FILE* to) {
       "  --patterns=N     simulation patterns for OER/HD (default 100000)\n"
       "  --target-oer=F   randomization stop threshold (default 0.995)\n"
       "  --buffering      enable post-placement drive-strength fixing\n"
-      "  --jobs=N         worker threads (router rounds; attack phases for\n"
-      "                   attack/report; sweep tasks). 0 = hardware\n"
-      "  --route-passes=N router rip-up-and-reroute rounds (default 3)\n"
-      "  --route-partition=tree|rounds  router re-route scheduler: spatial\n"
-      "                   partition tree with live in-region congestion\n"
-      "                   (default) or the legacy snapshot-commit rounds\n"
-      "  --partition-depth=N  tree depth where parallel tasks fan out\n"
-      "                   (default auto; never changes the layout)\n"
+      "  --jobs=N         worker threads (attack phases for attack/report;\n"
+      "                   sweep tasks). 0 = hardware; the router runs on\n"
+      "                   one thread\n"
+      "  --route-passes=N router rip-up-and-reroute passes (default 3)\n"
       "  --detailed-passes=N  placer refinement sweeps (default M6 2, M8 1)\n",
       to);
   return to == stderr ? 2 : 0;
@@ -182,16 +172,8 @@ attack::ProximityOptions attack_options(const util::Args& args,
   a.jobs = args.get_count("jobs", 1);
   a.index_min_drivers =
       static_cast<int>(args.get_int("index-threshold", a.index_min_drivers));
-  // Solver + lane knobs: metrics are bit-identical across both (the warm
-  // MCMF and every lane width reproduce the cold/scalar results exactly —
-  // test- and CI-enforced), so these only move the wall clock.
-  const std::string mcmf = args.get("mcmf", "warm");
-  if (mcmf == "warm")
-    a.mcmf_warm = true;
-  else if (mcmf == "cold")
-    a.mcmf_warm = false;
-  else
-    throw std::invalid_argument("--mcmf must be 'warm' or 'cold'");
+  // Lane width: OER/HD are bit-identical for every width (test- and
+  // CI-enforced), so it only moves the wall clock.
   a.sim_lanes = static_cast<std::size_t>(args.get_int("sim-lanes", 0));
   return a;
 }

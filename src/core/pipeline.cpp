@@ -75,7 +75,10 @@ std::string canonical_flow_json(const FlowOptions& opts) {
   w.key("gcell_um").value(opts.router.gcell_um);
   w.key("history_increment").value(opts.router.history_increment);
   w.key("overflow_penalty").value(opts.router.overflow_penalty);
-  w.key("partition").value(route::to_string(opts.router.partition));
+  // A fixed literal: the router's former scheduler option, whose default
+  // every stored hash covers. Keeping it keeps every config hash (and the
+  // golden pins in tests/test_store*.cpp) unchanged.
+  w.key("partition").value("tree");
   w.key("passes").value(opts.router.passes);
   w.key("seed").value(opts.router.seed);
   w.key("tie_jitter").value(opts.router.tie_jitter);

@@ -65,12 +65,9 @@ timing::PpaReport evaluate_ppa(const netlist::Netlist& nl,
 /// the flow half of a sweep cell's config hash (util::config_hash over the
 /// cell recipe, see sweep/store.hpp). Covers the placer, the router, the
 /// lift layer, the operating point, the activity/seed inputs, and the
-/// buffering knobs. Deliberately EXCLUDED, because they are scheduling
-/// only and provably never change results: `router.jobs` and
-/// `router.partition_depth` (both bit-identity-tested) — two runs that
-/// differ only in those must resolve to the same stored cell.
-/// `buffering_opts.skip` is also omitted: it is per-call runtime state
-/// (the protected-net list), fully determined by fields already hashed.
+/// buffering knobs. Deliberately EXCLUDED: `router.jobs`, which the router
+/// ignores, and `buffering_opts.skip`, per-call runtime state (the
+/// protected-net list) fully determined by fields already hashed.
 std::string canonical_flow_json(const FlowOptions& opts);
 
 /// Memoizes the defense-independent stage products of benchmark instances:

@@ -1,15 +1,9 @@
 #include "route/router.hpp"
 
-#include "route/partition_tree.hpp"
 #include "util/rng.hpp"
-#include "util/thread_pool.hpp"
 
 #include <algorithm>
 #include <limits>
-#include <memory>
-#include <mutex>
-#include <optional>
-#include <stdexcept>
 #include <vector>
 
 namespace sm::route {
@@ -28,17 +22,6 @@ std::uint64_t RoutingStats::total_vias() const {
   std::uint64_t s = 0;
   for (const auto v : vias) s += v;
   return s;
-}
-
-const char* to_string(RoutePartition p) {
-  return p == RoutePartition::Tree ? "tree" : "rounds";
-}
-
-RoutePartition route_partition_from_string(const std::string& name) {
-  if (name == "tree") return RoutePartition::Tree;
-  if (name == "rounds") return RoutePartition::Rounds;
-  throw std::invalid_argument("route: unknown partition scheme '" + name +
-                              "' (want tree|rounds)");
 }
 
 std::vector<RouteTask> make_tasks(const netlist::Netlist& nl,
@@ -84,14 +67,10 @@ RoutingStats collect_stats(const RouteGrid& grid,
 
 namespace {
 
-/// Round-shared congestion state: committed usage, negotiation history,
-/// blockages, per-layer capacities, and the PathFinder pressure schedule.
-/// History, pressure and the keep selection change only single-threaded
-/// between rounds. Usage changes during a round too: under Rounds only
-/// between chunks (each chunk searches against a frozen snapshot), under
-/// Tree after every net, but only inside that net's window, which no
-/// concurrently routing net's window overlaps. Either discipline makes the
-/// router's output independent of RouterOptions::jobs.
+/// Congestion state: committed usage, negotiation history, blockages,
+/// per-layer capacities, and the PathFinder pressure schedule. History,
+/// pressure and the keep selection change between passes; usage changes
+/// after every routed net.
 class CongestionState {
  public:
   CongestionState(const RouteGrid& grid, const MetalStack& stack,
@@ -171,20 +150,18 @@ class CongestionState {
   double pressure_ = 1.0;
 };
 
-/// A* work of one net, summed over all its searches in every pass
-/// (clipped searches and their unclipped retries alike).
+/// A* work summed over every search of one Router::route call (clipped
+/// searches and their unclipped retries alike).
 struct SearchWork {
   std::uint64_t searches = 0;
   std::uint64_t heap_pops = 0;
   std::uint64_t heap_pushes = 0;
 };
 
-/// Per-worker A* search state with epoch-stamped arrays, so repeated
-/// searches cost O(visited), not O(grid). Reads the CongestionState and
-/// never writes it; the caller commits a net's usage after its searches.
-/// Which worker's Searcher routes which net is scheduling-dependent but
-/// provably irrelevant: every search bumps its epoch first, so no state of
-/// any previous search (on this or any other net) is ever read.
+/// A* search state with epoch-stamped arrays, so repeated searches cost
+/// O(visited), not O(grid): every search bumps its epoch first, so no state
+/// of a previous search is ever read. Reads the CongestionState and never
+/// writes it; the caller commits a net's usage after its searches.
 ///
 /// Cost model: a lateral step costs the entered node's node_cost (>= 1), a
 /// via step via_cost plus that (>= via_cost + 1), plus the net's tie jitter.
@@ -227,10 +204,8 @@ class Searcher {
   }
 
   /// Clip every subsequent search to the lateral window `w` (layers stay
-  /// unrestricted — via stacks and lifted wiring need them all). The tree
-  /// scheduler sets each net's own inflated bbox here; that containment is
-  /// what makes sibling subtrees non-interacting. Rounds mode never calls
-  /// this and keeps the constructor's full-grid window.
+  /// unrestricted — via stacks and lifted wiring need them all): a net's
+  /// inflated terminal bbox, or the full grid for its retry.
   void set_window(const util::GridRect& w) {
     wx0_ = w.x0;
     wy0_ = w.y0;
@@ -254,9 +229,9 @@ class Searcher {
 
   /// A* from `start` to any node in `targets` (marked via target_mark_).
   /// Layers below `min_layer` are off-limits. Returns the reached target
-  /// node or npos; parent_ encodes the path. Adds its heap traffic to `work`.
+  /// node or npos; parent_ encodes the path. Adds its heap traffic to work().
   std::size_t search(std::size_t start, const std::vector<std::size_t>& targets,
-                     int min_layer, SearchWork& work) {
+                     int min_layer) {
     ++epoch_;
     // Mark targets and compute their bbox for the heuristic.
     tminx_ = tminy_ = tminl_ = std::numeric_limits<int>::max();
@@ -329,11 +304,13 @@ class Searcher {
     // Clear target marks for the next search.
     for (const auto t : target_set_) target_mark_[t] = 0;
     target_set_.clear();
-    ++work.searches;
-    work.heap_pops += pops;
-    work.heap_pushes += pushes;
+    ++work_.searches;
+    work_.heap_pops += pops;
+    work_.heap_pushes += pushes;
     return found;
   }
+
+  const SearchWork& work() const { return work_; }
 
   /// Walk parents from `node` back to the search start.
   std::vector<std::size_t> backtrack(std::size_t node) const {
@@ -369,8 +346,8 @@ class Searcher {
   }
 
   /// Deterministic per-(net, node) tie-break noise in [0, tie_jitter).
-  /// A pure function of the net's seed and the node index — never of the
-  /// executing thread — so a net prices ties identically in any schedule.
+  /// A pure function of the net's seed and the node index, so a net prices
+  /// ties identically in every pass.
   /// One multiply + xorshift: runs on every A* edge relaxation, where the
   /// full splitmix64 chain measurably shows up; tie-breaking only needs
   /// decorrelation between nets, not PRNG-grade uniformity.
@@ -396,46 +373,11 @@ class Searcher {
   std::vector<netlist::Direction> preferred_;  ///< per-layer wire direction
   std::uint32_t epoch_ = 0;
   std::uint32_t tree_epoch_ = 0;
+  SearchWork work_;
   std::uint64_t jitter_seed_ = 0;
   double jitter_scale_ = 0.0;
   int tminx_ = 0, tmaxx_ = 0, tminy_ = 0, tmaxy_ = 0, tminl_ = 0, tmaxl_ = 0;
   std::int32_t wx0_ = 0, wy0_ = 0, wx1_ = 0, wy1_ = 0;  ///< search window
-};
-
-/// Mutex-guarded free list of Searchers: a worker leases one per net and
-/// returns it afterwards, so a round needs at most `jobs` searchers total
-/// (each is O(grid) memory). The lease order depends on scheduling; the
-/// Searcher epoch discipline makes that irrelevant to the routes.
-class SearcherPool {
- public:
-  SearcherPool(const RouteGrid& grid, const MetalStack& stack,
-               const RouterOptions& opts, const CongestionState& cong)
-      : grid_(&grid), stack_(&stack), opts_(&opts), cong_(&cong) {}
-
-  std::unique_ptr<Searcher> acquire() {
-    {
-      const std::lock_guard<std::mutex> lock(mu_);
-      if (!free_.empty()) {
-        auto s = std::move(free_.back());
-        free_.pop_back();
-        return s;
-      }
-    }
-    return std::make_unique<Searcher>(*grid_, *stack_, *opts_, *cong_);
-  }
-
-  void release(std::unique_ptr<Searcher> s) {
-    const std::lock_guard<std::mutex> lock(mu_);
-    free_.push_back(std::move(s));
-  }
-
- private:
-  const RouteGrid* grid_;
-  const MetalStack* stack_;
-  const RouterOptions* opts_;
-  const CongestionState* cong_;
-  std::mutex mu_;
-  std::vector<std::unique_ptr<Searcher>> free_;
 };
 
 /// Compress a node path into straight wire segments and single via segments.
@@ -476,12 +418,10 @@ void stack_nodes(const RouteGrid& grid, const Terminal& t, int to_layer,
 struct TaskState {
   std::vector<std::size_t> nodes;  ///< all grid nodes the net occupies
   NetRoute route;
-  SearchWork work;  ///< accumulated over every pass; never reset
 };
 
-/// Route one net against the current congestion. Writes only `st` (the
-/// committed usage is untouched — the caller commits the net's nodes), so
-/// any number of these can run concurrently on distinct nets.
+/// Route one net against the current congestion. Writes only `st` (and
+/// the searcher); the caller commits the net's nodes to the usage.
 void route_net(const RouteGrid& grid, const RouteTask& task, Searcher& s,
                TaskState& st) {
   st.route = NetRoute{};
@@ -527,7 +467,7 @@ void route_net(const RouteGrid& grid, const RouteTask& task, Searcher& s,
 
     // Degenerate: terminal already on the tree.
     if (!s.tree_has(entry_idx)) {
-      const std::size_t hit = s.search(entry_idx, tree, ml, st.work);
+      const std::size_t hit = s.search(entry_idx, tree, ml);
       if (hit == Searcher::npos) {
         ok = false;
         continue;
@@ -567,12 +507,13 @@ RoutingResult Router::route(const std::vector<RouteTask>& tasks,
   result.grid = RouteGrid(die, opts_.gcell_um, stack.num_layers());
   const RouteGrid& grid = result.grid;
   CongestionState cong(grid, stack, opts_);
+  Searcher searcher(grid, stack, opts_, cong);
 
   std::vector<TaskState> state(tasks.size());
 
   // Fixed net order: short nets first (they have the least flexibility).
-  // This is simultaneously the greedy-keep order and the commit order, so
-  // the whole negotiation is a pure function of (tasks, options).
+  // This is both the greedy-keep order and the routing order, so the whole
+  // negotiation is a pure function of (tasks, options).
   std::vector<std::size_t> order(tasks.size());
   for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
   auto task_span = [&](const RouteTask& t) {
@@ -585,196 +526,54 @@ RoutingResult Router::route(const std::vector<RouteTask>& tasks,
     return task_span(tasks[a]) < task_span(tasks[b]);
   });
 
-  // One pool for every round's re-route batch (fresh-pool-per-round would
-  // violate thread_pool.hpp's hot-loop guidance). Serial when jobs
-  // resolves to 1.
-  const std::size_t jobs = util::resolve_jobs(opts_.jobs, tasks.size());
-  std::optional<util::ThreadPool> pool;
-  if (jobs > 1 && tasks.size() > 1) pool.emplace(jobs);
-  SearcherPool searchers(grid, stack, opts_, cong);
-
-  // Rounds scheduler (escape hatch): route `ripped` (already in commit
-  // order) chunk by chunk — the nets of one chunk route in parallel against
-  // the usage committed by all earlier chunks (plus the kept nets), then
-  // commit in order before the next chunk starts. The chunk partition
-  // depends only on the net count — never on jobs — so results stay
-  // bit-identical for any worker count.
-  auto route_rounds_batch = [&](const std::vector<std::size_t>& ripped) {
-    const std::size_t chunk = std::max<std::size_t>(16, ripped.size() / 64);
-    for (std::size_t begin = 0; begin < ripped.size(); begin += chunk) {
-      const std::size_t end = std::min(begin + chunk, ripped.size());
-      auto run_one = [&](std::size_t k) {
-        const std::size_t ti = ripped[begin + k];
-        auto s = searchers.acquire();
-        s->set_net(util::task_seed(opts_.seed, ti));
-        route_net(grid, tasks[ti], *s, state[ti]);
-        searchers.release(std::move(s));
-      };
-      if (pool && end - begin > 1)
-        pool->parallel_for(end - begin, run_one);
-      else
-        for (std::size_t k = 0; k < end - begin; ++k) run_one(k);
-      // Commit this chunk in fixed net order.
-      for (std::size_t k = begin; k < end; ++k)
-        for (const auto nidx : state[ripped[k]].nodes) cong.add_usage(nidx, 1);
-    }
-  };
-
-  // Tree scheduler: per-net clipped search windows (terminal bbox +
-  // bbox_margin, a property of the *problem*, computed once up front) and
-  // a work estimate for cutline balancing.
+  // Per-net search windows: the terminal bbox inflated by bbox_margin, a
+  // property of the problem, computed once up front.
   const util::GridRect grid_rect{0, 0, grid.nx() - 1, grid.ny() - 1};
-  std::vector<util::GridRect> window;
-  std::vector<std::uint64_t> work;
-  if (opts_.partition == RoutePartition::Tree) {
-    window.resize(tasks.size());
-    work.resize(tasks.size());
-    const std::int32_t margin =
-        static_cast<std::int32_t>(std::max(0, opts_.bbox_margin));
-    for (std::size_t i = 0; i < tasks.size(); ++i) {
-      util::GridRect b;
-      for (const auto& term : tasks[i].terminals) {
-        const GridPoint g = grid.snap(term.pos, term.layer);
-        b.expand(g.x, g.y);
-      }
-      if (b.empty()) b = util::GridRect::around(0, 0);
-      // A* cost scales with the connection count and the bbox span.
-      work[i] =
-          (static_cast<std::uint64_t>(b.half_perimeter()) + 1) *
-          std::max<std::uint64_t>(
-              1, static_cast<std::uint64_t>(tasks[i].terminals.size()) - 1);
-      window[i] = b.inflated(margin).clamped(grid_rect);
+  const std::int32_t margin =
+      static_cast<std::int32_t>(std::max(0, opts_.bbox_margin));
+  std::vector<util::GridRect> window(tasks.size());
+  for (std::size_t i = 0; i < tasks.size(); ++i) {
+    util::GridRect b;
+    for (const auto& term : tasks[i].terminals) {
+      const GridPoint g = grid.snap(term.pos, term.layer);
+      b.expand(g.x, g.y);
     }
+    if (b.empty()) b = util::GridRect::around(0, 0);
+    window[i] = b.inflated(margin).clamped(grid_rect);
   }
 
-  // Tree depth at which parallel tasks fan out. Pure scheduling: any value
-  // yields the same routes (see run_subtree's order argument below).
-  auto spawn_depth = [&](int tree_depth) {
-    if (opts_.partition_depth >= 0)
-      return std::min(opts_.partition_depth, tree_depth);
-    int d = 0;  // auto: fan out until ~4 tasks per worker are possible
-    while (d < tree_depth && (std::size_t{1} << d) < 4 * jobs) ++d;
-    return d;
-  };
-
-  // Route one net inside its window and commit immediately: Tree mode's
-  // *live* congestion. Safe concurrently across sibling subtrees — a net
-  // reads and writes usage only inside its own window, which the tree
-  // keeps inside its node's region, and sibling regions are disjoint.
-  auto route_one_live = [&](std::size_t ti, Searcher& s) {
-    s.set_net(util::task_seed(opts_.seed, ti));
-    s.set_window(window[ti]);
-    route_net(grid, tasks[ti], s, state[ti]);
+  // Route one net inside `w` and commit its usage at once, so every later
+  // net sees it.
+  auto route_one = [&](std::size_t ti, const util::GridRect& w) {
+    searcher.set_net(util::task_seed(opts_.seed, ti));
+    searcher.set_window(w);
+    route_net(grid, tasks[ti], searcher, state[ti]);
     for (const auto nidx : state[ti].nodes) cong.add_usage(nidx, 1);
   };
 
-  // One negotiation round under the tree scheduler. Determinism argument:
-  // the only net pairs that can observe each other's usage are pairs with
-  // overlapping windows, and such pairs always sit on one root-to-leaf
-  // path (same node, or ancestor/descendant — siblings' regions are
-  // disjoint, so their nets' windows cannot overlap). Any execution that
-  // (a) routes each node's nets in their fixed stored order and (b)
-  // finishes both child subtrees before the node's own cutline-crossing
-  // nets therefore produces identical routes — sequential post-order,
-  // level-synchronous parallel, and every partition_depth in between.
-  auto route_tree_batch = [&](const std::vector<std::size_t>& ripped) {
-    if (ripped.empty()) return;
-    std::vector<PartitionNet> pnets;
-    pnets.reserve(ripped.size());
-    for (const auto ti : ripped) pnets.push_back({ti, window[ti], work[ti]});
-    const PartitionTree tree(grid_rect, std::move(pnets));
-
-    auto run_node = [&](const PartitionNode& n, Searcher& s) {
-      for (const auto idx : n.nets) route_one_live(tree.nets()[idx].task, s);
-    };
-    // Sequential post-order over a whole subtree: children first, then the
-    // node's crossing nets — property (b) above, single-threaded.
-    auto run_subtree = [&](int root, Searcher& s) {
-      struct Frame {
-        int node;
-        bool expanded;
-      };
-      std::vector<Frame> stack{{root, false}};
-      while (!stack.empty()) {
-        const Frame f = stack.back();
-        stack.pop_back();
-        const PartitionNode& n = tree.nodes()[static_cast<std::size_t>(f.node)];
-        if (f.expanded || n.is_leaf()) {
-          run_node(n, s);
-          continue;
-        }
-        stack.push_back({f.node, true});
-        if (n.right >= 0) stack.push_back({n.right, false});
-        if (n.left >= 0) stack.push_back({n.left, false});
-      }
-    };
-
-    if (!pool) {
-      auto s = searchers.acquire();
-      run_subtree(0, *s);
-      searchers.release(std::move(s));
-    } else {
-      const int fan = spawn_depth(tree.depth());
-      // Phase 1: every maximal subtree rooted at the fan-out depth is one
-      // sequential task; the tasks run concurrently (disjoint regions).
-      {
-        const auto& ids = tree.level(fan);
-        pool->parallel_for(ids.size(), [&](std::size_t k) {
-          auto s = searchers.acquire();
-          run_subtree(ids[k], *s);
-          searchers.release(std::move(s));
-        });
-      }
-      // Phase 2: the remaining levels bottom-up, one parallel batch per
-      // level. A node's children live at the next deeper level (phase 1 or
-      // an earlier batch), so they are committed — and the parallel_for
-      // join sequences the batches.
-      for (int level = fan - 1; level >= 0; --level) {
-        const auto& ids = tree.level(level);
-        pool->parallel_for(ids.size(), [&](std::size_t k) {
-          auto s = searchers.acquire();
-          run_node(tree.nodes()[static_cast<std::size_t>(ids[k])], *s);
-          searchers.release(std::move(s));
-        });
-      }
-    }
-
-    // Clipping can make a routable net fail (a forced detour past the
-    // margin). Retry those serially with the full grid, in fixed net order
-    // after everything else committed — same schedule for any jobs/depth.
-    bool any_failed = false;
-    for (const auto ti : ripped) any_failed |= !state[ti].route.success;
-    if (any_failed) {
-      auto s = searchers.acquire();
-      s->set_window(grid_rect);
-      for (const auto ti : ripped) {
-        if (state[ti].route.success) continue;
-        for (const auto nidx : state[ti].nodes) cong.add_usage(nidx, -1);
-        s->set_net(util::task_seed(opts_.seed, ti));
-        route_net(grid, tasks[ti], *s, state[ti]);
-        for (const auto nidx : state[ti].nodes) cong.add_usage(nidx, 1);
-      }
-      searchers.release(std::move(s));
+  // One pass over `ripped` (in fixed net order), each net clipped to its
+  // window. Clipping can make a routable net fail (a forced detour past the
+  // margin): those retry on the full grid, in fixed net order, after every
+  // other net of the pass committed.
+  auto route_pass = [&](const std::vector<std::size_t>& ripped) {
+    for (const auto ti : ripped) route_one(ti, window[ti]);
+    for (const auto ti : ripped) {
+      if (state[ti].route.success) continue;
+      for (const auto nidx : state[ti].nodes) cong.add_usage(nidx, -1);
+      route_one(ti, grid_rect);
     }
   };
 
-  auto route_batch = [&](const std::vector<std::size_t>& ripped) {
-    if (opts_.partition == RoutePartition::Tree)
-      route_tree_batch(ripped);
-    else
-      route_rounds_batch(ripped);
-  };
-
-  // Round 0: route everything.
+  // Pass 0: route everything.
   std::vector<std::size_t> ripped = order;
-  route_batch(ripped);
+  route_pass(ripped);
 
-  // Negotiated congestion, snapshot-commit style: keep nets greedily up to
-  // each node's capacity (in commit order), rip the excess, re-route the
-  // ripped nets in parallel against the kept usage + bumped history, commit,
-  // repeat. Unlike rip-everything-overflowing, the kept nets pin the tracks
-  // they legally fill, so re-routed nets see full tracks as expensive and
-  // spread instead of oscillating in lockstep.
+  // Negotiated congestion: keep nets greedily up to each node's capacity
+  // (in fixed net order), rip the excess, re-route the ripped nets against
+  // the kept usage + bumped history, repeat. Unlike
+  // rip-everything-overflowing, the kept nets pin the tracks they legally
+  // fill, so re-routed nets see full tracks as expensive and spread instead
+  // of oscillating in lockstep.
   for (int pass = 1; pass < opts_.passes; ++pass) {
     if (cong.count_overflow() == 0) break;
     cong.bump_history();
@@ -801,7 +600,7 @@ RoutingResult Router::route(const std::vector<RouteTask>& tasks,
         for (const auto nidx : st.nodes) cong.add_usage(nidx, 1);
       }
     }
-    route_batch(ripped);
+    route_pass(ripped);
   }
 
   result.routes.resize(tasks.size());
@@ -809,11 +608,9 @@ RoutingResult Router::route(const std::vector<RouteTask>& tasks,
     result.routes[i] = std::move(state[i].route);
   result.stats = collect_stats(grid, result.routes);
   result.stats.overflowed_gcells = cong.count_overflow();
-  for (const auto& st : state) {  // fixed net order
-    result.stats.searches += st.work.searches;
-    result.stats.heap_pops += st.work.heap_pops;
-    result.stats.heap_pushes += st.work.heap_pushes;
-  }
+  result.stats.searches = searcher.work().searches;
+  result.stats.heap_pops = searcher.work().heap_pops;
+  result.stats.heap_pushes = searcher.work().heap_pushes;
   return result;
 }
 

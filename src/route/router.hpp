@@ -14,37 +14,15 @@
 // segment of such a task must run at or above that layer; terminals reach
 // it through via stacks, exactly like the pins of the custom cells.
 //
-// Negotiation is round-based: every round selects the nets to rip up
-// (greedy keep-up-to-capacity in a fixed net order) and re-routes them over
-// a util::ThreadPool. Two re-route schedulers exist (RouterOptions::
-// partition):
-//
-//   Tree (default) — a ParaDRo-style spatial partition tree over the
-//   ripped nets' search windows (route/partition_tree.hpp). Each net's A*
-//   is clipped to its terminal bbox inflated by bbox_margin; the net lands
-//   at the deepest tree node whose region contains that window. Sibling
-//   subtrees route *concurrently against live congestion* — a net only
-//   touches usage inside its own window, sibling regions are disjoint, so
-//   no interleaving of sibling work is observable. Within a node, nets
-//   route and commit one by one in the fixed net order; a node's own
-//   (cutline-crossing) nets route only after both child subtrees finished.
-//   Nets that fail inside their clipped window re-route serially at the
-//   root with the full grid after the tree pass. The only net pairs whose
-//   windows overlap are same-node or ancestor/descendant pairs, and the
-//   tree order fixes both — so routes are bit-identical for every `jobs`
-//   AND every `partition_depth` (the depth only caps where parallel tasks
-//   fan out; the tree itself is a pure function of nets + grid).
-//
-//   Rounds (escape hatch, --route-partition=rounds) — the former
-//   snapshot-commit scheme: ripped nets re-route in fixed-size chunks
-//   against the frozen usage/history committed so far, then commit in
-//   fixed order before the next chunk starts.
-//
-// Both schedulers draw each net's cost-tie jitter from its own
-// util::task_seed stream and lease epoch-stamped per-worker Searchers, so
-// which thread routes which net never leaks into results
-// (tests/test_route.cpp and tests/test_partition_tree.cpp hold the
-// bit-identity as regressions).
+// Negotiation runs in passes on one thread. Every pass after the first
+// keeps nets greedily up to capacity and rips the rest, in one fixed net
+// order (short spans first); the ripped nets then route one by one in that
+// same order, each A* clipped to its terminal bbox inflated by bbox_margin
+// and committed at once, so later nets see its usage. Nets that fail inside
+// their window re-route on the full grid after the pass. Each net draws its
+// cost-tie jitter from its own util::task_seed stream. The fixed order makes
+// the routes a pure function of (tasks, options); tests/test_route.cpp
+// holds the determinism and the full-grid retry as regressions.
 //
 // Each A* search is guided by a consistent lower bound that also prices
 // the vias the remaining offset needs, and keeps its path costs in double
@@ -60,7 +38,6 @@
 
 #include <array>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 namespace sm::route {
@@ -100,8 +77,8 @@ struct RoutingStats {
   std::size_t failed_nets = 0;
   std::size_t overflowed_gcells = 0;
   /// A* work over every pass, including the unclipped retries of nets that
-  /// failed inside their window. Identical for every jobs and
-  /// partition_depth; Router::route fills them, collect_stats leaves 0.
+  /// failed inside their window. Deterministic like the routes;
+  /// Router::route fills them, collect_stats leaves 0.
   std::uint64_t searches = 0;     ///< two-pin connection searches
   std::uint64_t heap_pops = 0;    ///< open-list pops, stale entries included
   std::uint64_t heap_pushes = 0;  ///< open-list pushes
@@ -125,20 +102,9 @@ struct Blockage {
   int max_layer = 10;
 };
 
-/// Scheduler for a negotiation round's net re-routes (header comment above).
-enum class RoutePartition {
-  Tree,    ///< spatial partition tree, live in-region congestion (default)
-  Rounds,  ///< legacy snapshot-commit chunks against frozen congestion
-};
-
-/// Parse "tree"/"rounds" (std::invalid_argument otherwise) — the CLI and
-/// bench --route-partition flags share this validated path.
-RoutePartition route_partition_from_string(const std::string& name);
-const char* to_string(RoutePartition p);
-
 struct RouterOptions {
   double gcell_um = 2.8;
-  int passes = 3;            ///< rip-up & re-route rounds (>= 1)
+  int passes = 3;            ///< rip-up & re-route passes (>= 1)
   double via_cost = 3.5;     ///< cost of one layer crossing (vs 1 per gcell)
   double overflow_penalty = 4.0;
   double history_increment = 1.5;
@@ -151,23 +117,12 @@ struct RouterOptions {
   /// = 1.0) — and route quality is unaffected. 0 disables it.
   double tie_jitter = 0.05;
   std::uint64_t seed = 1;
-  /// Worker threads for each round's net re-routes; 0 = hardware
-  /// concurrency. Routes are bit-identical for every value.
+  /// Ignored: the router runs on one thread. Kept declared only because
+  /// perfbench/driver.cpp still writes it; it goes at the next change to
+  /// the benchmark.
   std::size_t jobs = 1;
-  /// Re-route scheduler (header comment). Tree changes which routes are
-  /// produced vs Rounds (live instead of frozen congestion, clipped
-  /// searches) — both are individually deterministic.
-  RoutePartition partition = RoutePartition::Tree;
-  /// Tree depth at which parallel tasks fan out: below it, whole subtrees
-  /// run as one sequential task (coarser tasks, fewer barriers); above it,
-  /// each tree level is a parallel batch. Scheduling granularity ONLY —
-  /// never changes routes. < 0 = auto (enough fan-out for ~4 tasks per
-  /// worker, clamped to the tree's own depth, which the grid extent and
-  /// net spread bound).
-  int partition_depth = -1;
   /// Gcells added on every side of a net's terminal bbox to form its
-  /// clipped search window under Tree (detour headroom). Affects routes
-  /// (it is part of the problem, not the schedule).
+  /// clipped search window (detour headroom). Affects routes.
   int bbox_margin = 8;
   std::vector<Blockage> blockages;
 };
@@ -176,8 +131,8 @@ class Router {
  public:
   explicit Router(RouterOptions opts = {}) : opts_(opts) {}
 
-  /// Route all tasks inside `die`. Deterministic in (tasks, options);
-  /// RouterOptions::jobs never changes the result, only the wall time.
+  /// Route all tasks inside `die`, on the calling thread. Deterministic in
+  /// (tasks, options).
   RoutingResult route(const std::vector<RouteTask>& tasks,
                       const util::Rect& die,
                       const netlist::MetalStack& stack) const;

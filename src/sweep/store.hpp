@@ -17,9 +17,9 @@
 // patterns, scale, flow options via core::canonical_flow_json, randomize
 // options for protected cells, baseline recipe constants for baseline
 // defenses). Anything that can change a metric is in the hash;
-// scheduling knobs (jobs, partition_depth, shard assignment) and wall
-// time are NOT — two runs differing only in those resolve to the same
-// cell. tests/test_store.cpp pins golden hashes across releases.
+// scheduling knobs (jobs, shard assignment) and wall time are NOT — two
+// runs differing only in those resolve to the same cell.
+// tests/test_store.cpp pins golden hashes across releases.
 //
 // Consequences the sweep builds on:
 //   - crash-safe resume: `run` with Options::resume skips cells whose hash

@@ -19,7 +19,6 @@
 #include <cctype>
 #include <chrono>
 #include <functional>
-#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
@@ -86,7 +85,7 @@ int verdict_code(core::EquivVerdict v) {
 /// in (benchmark, seed, options), so whether this task builds them or
 /// reuses a sibling defense's build is invisible in the metrics.
 void run_task(const Task& t, const Grid& grid, const Options& opts,
-              std::size_t router_jobs, const netlist::CellLibrary& lib,
+              const netlist::CellLibrary& lib,
               core::LayoutCache& cache, Row* rows,
               const std::vector<char>& compute, const CellCallback& on_cell) {
   const double t0 = now_ms();
@@ -103,10 +102,7 @@ void run_task(const Task& t, const Grid& grid, const Options& opts,
   }();
   const auto& nl = cache.netlist(
       t.cache_key, [&] { return workloads::generate(lib, spec, t.seed); });
-  auto flow = task_flow(t.benchmark, t.workload, t.seed, grid.scale);
-  // Scheduling only — applied outside task_flow so the config hash (which
-  // digests task_flow's output) can never cover it.
-  flow.router.jobs = router_jobs;
+  const auto flow = task_flow(t.benchmark, t.workload, t.seed, grid.scale);
 
   const netlist::Netlist* feol = &nl;
   const core::LayoutResult* layout = nullptr;
@@ -286,8 +282,7 @@ core::FlowOptions task_flow(const std::string& benchmark, Workload workload,
   // Same flow tuning the benches and sm_flow use: M6 correction pins for
   // ISCAS, M8 for superblue and the large synthetic clones, utilization
   // derated so the router stays congestion-free (bench/common.hpp is the
-  // reference). Scheduling knobs (router jobs/partition_depth) are NOT set
-  // here — the run loop applies them after hashing, see run_task.
+  // reference).
   core::FlowOptions f;
   f.seed = seed;
   f.router.passes = 3;
@@ -549,8 +544,7 @@ std::string Result::to_csv() const {
 
 std::string Result::to_json() const {
   std::ostringstream os;
-  os << "{\n  \"jobs\": " << jobs << ",\n  \"router_jobs\": " << router_jobs
-     << ",\n  \"wall_ms\": " << wall_ms
+  os << "{\n  \"jobs\": " << jobs << ",\n  \"wall_ms\": " << wall_ms
      << ",\n  \"computed_cells\": " << computed_cells
      << ",\n  \"resumed_cells\": " << resumed_cells
      << ",\n  \"quarantined_cells\": " << quarantined_cells
@@ -645,15 +639,6 @@ Result run(const Grid& grid, const Options& opts) {
   }
 
   result.jobs = util::resolve_jobs(opts.jobs, runnable.size());
-  // When the grid has fewer runnable tasks than the requested worker
-  // budget, the leftover workers would idle — hand them to each task's
-  // router instead (the router is itself jobs-invariant, so this never
-  // changes metrics). A full grid keeps router_jobs = 1: task-level
-  // parallelism scales better than nested router threads.
-  const std::size_t budget = util::resolve_jobs(
-      opts.jobs, std::numeric_limits<std::size_t>::max());
-  result.router_jobs =
-      std::max<std::size_t>(1, budget / std::max<std::size_t>(1, result.jobs));
 
   // The event log. Appends are keyed by config hash, so re-running into an
   // existing store is safe (duplicate keys materialize last-wins).
@@ -698,7 +683,7 @@ Result run(const Grid& grid, const Options& opts) {
                                          cell.attacker);
       writer->append(rec);
     };
-    run_task(task, grid, opts, result.router_jobs,
+    run_task(task, grid, opts,
              task.workload == Workload::Iscas85 ? lib_iscas : lib_superblue,
              cache, rows, compute[k], on_cell);
   });

@@ -175,8 +175,7 @@ struct Options {
 
 /// The exact FlowOptions / RandomizeOptions every sweep cell of
 /// (benchmark, seed) uses — also the recipe the store's config hash covers
-/// (core::canonical_flow_json). Scheduling knobs (router jobs) are applied
-/// separately by the run loop and excluded from the hash.
+/// (core::canonical_flow_json).
 core::FlowOptions task_flow(const std::string& benchmark, Workload workload,
                             std::uint64_t seed, double scale);
 core::RandomizeOptions task_randomize(std::uint64_t seed);
@@ -224,10 +223,9 @@ struct Result {
   /// shard logs.
   std::vector<Row> rows;
   std::size_t jobs = 1;   ///< resolved worker count actually used
-  /// Router threads inside each task: the leftover worker budget when the
-  /// grid has fewer tasks than requested workers (budget / jobs), so
-  /// single-cell sweeps still exploit the pool at the router level. 1 on a
-  /// full grid. Never changes metrics — the router is jobs-invariant.
+  /// Always 1: the router runs on one thread. Kept declared only because
+  /// perfbench/driver.cpp still reads it; it goes at the next change to
+  /// the benchmark. Not exported by to_json.
   std::size_t router_jobs = 1;
   double wall_ms = 0.0;   ///< whole-sweep wall time
   /// Shared-stage build counters: netlists/base placements/base routes

@@ -91,9 +91,8 @@ inline int manhattan(const GridPoint& a, const GridPoint& b) noexcept {
 }
 
 /// Inclusive integer rectangle in gcell units: the cells [x0, x1] × [y0, y1].
-/// The routing partition tree (route/partition_tree.hpp) uses these for net
-/// search windows and node regions; route::GridIndex-style spatial code can
-/// share them. A default-constructed rect is empty (x1 < x0).
+/// The router clips each net's A* search to one of these windows. A
+/// default-constructed rect is empty (x1 < x0).
 struct GridRect {
   std::int32_t x0 = 0;
   std::int32_t y0 = 0;
@@ -101,27 +100,8 @@ struct GridRect {
   std::int32_t y1 = -1;
 
   bool empty() const noexcept { return x1 < x0 || y1 < y0; }
-  std::int32_t width() const noexcept { return x1 - x0 + 1; }
-  std::int32_t height() const noexcept { return y1 - y0 + 1; }
-  std::int64_t cells() const noexcept {
-    return empty() ? 0
-                   : static_cast<std::int64_t>(width()) *
-                         static_cast<std::int64_t>(height());
-  }
-  /// Half-perimeter in gcell steps (0 for a single cell).
-  std::int32_t half_perimeter() const noexcept {
-    return (x1 - x0) + (y1 - y0);
-  }
-
   bool contains(std::int32_t x, std::int32_t y) const noexcept {
     return x >= x0 && x <= x1 && y >= y0 && y <= y1;
-  }
-  bool contains(const GridRect& o) const noexcept {
-    return !o.empty() && o.x0 >= x0 && o.x1 <= x1 && o.y0 >= y0 && o.y1 <= y1;
-  }
-  bool overlaps(const GridRect& o) const noexcept {
-    return !empty() && !o.empty() && x0 <= o.x1 && o.x0 <= x1 && y0 <= o.y1 &&
-           o.y0 <= y1;
   }
 
   /// Smallest rectangle covering this one and the cell (x, y).
@@ -148,14 +128,6 @@ struct GridRect {
 
   static GridRect around(std::int32_t x, std::int32_t y) noexcept {
     return {x, y, x, y};
-  }
-
-  friend bool operator==(const GridRect& a, const GridRect& b) noexcept {
-    return a.x0 == b.x0 && a.y0 == b.y0 && a.x1 == b.x1 && a.y1 == b.y1;
-  }
-  friend std::ostream& operator<<(std::ostream& os, const GridRect& r) {
-    return os << '[' << r.x0 << ',' << r.y0 << "]..[" << r.x1 << ',' << r.y1
-              << ']';
   }
 };
 

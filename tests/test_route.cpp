@@ -1,12 +1,14 @@
 // Router tests: grid math, connectivity of produced routes, min-layer
-// (lifting) constraints, via/wirelength accounting, congestion negotiation,
-// A* optimality against a reference Dijkstra.
+// (lifting) constraints, via/wirelength accounting, determinism, congestion
+// negotiation, A* optimality against a reference Dijkstra, and the
+// full-grid retry of nets that fail inside their clipped window.
 #include "place/placer.hpp"
 #include "route/router.hpp"
 #include "workloads/generator.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <functional>
@@ -180,6 +182,31 @@ TEST_F(RouterTest, StatsViasMatchSegments) {
   EXPECT_DOUBLE_EQ(recomputed.total_wire_um(), res.stats.total_wire_um());
 }
 
+/// Byte-level equality of two routing results: per-net success flags and
+/// exact segment lists, plus the aggregate stats, overflow count and A*
+/// work counters.
+void expect_identical_routing(const RoutingResult& a, const RoutingResult& b) {
+  ASSERT_EQ(a.routes.size(), b.routes.size());
+  for (std::size_t i = 0; i < a.routes.size(); ++i) {
+    const auto& ra = a.routes[i];
+    const auto& rb = b.routes[i];
+    EXPECT_EQ(ra.net, rb.net);
+    EXPECT_EQ(ra.success, rb.success);
+    ASSERT_EQ(ra.segments.size(), rb.segments.size()) << "net index " << i;
+    for (std::size_t s = 0; s < ra.segments.size(); ++s) {
+      EXPECT_EQ(ra.segments[s].a, rb.segments[s].a) << "net " << i;
+      EXPECT_EQ(ra.segments[s].b, rb.segments[s].b) << "net " << i;
+    }
+  }
+  EXPECT_EQ(a.stats.total_vias(), b.stats.total_vias());
+  EXPECT_DOUBLE_EQ(a.stats.total_wire_um(), b.stats.total_wire_um());
+  EXPECT_EQ(a.stats.failed_nets, b.stats.failed_nets);
+  EXPECT_EQ(a.stats.overflowed_gcells, b.stats.overflowed_gcells);
+  EXPECT_EQ(a.stats.searches, b.stats.searches);
+  EXPECT_EQ(a.stats.heap_pops, b.stats.heap_pops);
+  EXPECT_EQ(a.stats.heap_pushes, b.stats.heap_pushes);
+}
+
 TEST_F(RouterTest, DeterministicRouting) {
   std::vector<RouteTask> tasks;
   sm::util::Rng rng(4);
@@ -191,10 +218,28 @@ TEST_F(RouterTest, DeterministicRouting) {
     tasks.push_back(std::move(t));
   }
   Router router;
-  const auto a = router.route(tasks, die, stack);
-  const auto b = router.route(tasks, die, stack);
-  EXPECT_DOUBLE_EQ(a.stats.total_wire_um(), b.stats.total_wire_um());
-  EXPECT_EQ(a.stats.total_vias(), b.stats.total_vias());
+  expect_identical_routing(router.route(tasks, die, stack),
+                           router.route(tasks, die, stack));
+
+  // A placed netlist on a fine grid, so negotiation rips and re-routes.
+  CellLibrary lib;
+  const auto nl = sm::workloads::generate(
+      lib, sm::workloads::iscas85_profile("c880"), 5);
+  sm::place::Placer placer;
+  const auto pl = placer.place(nl);
+  RouterOptions opts;
+  opts.gcell_um = 1.4;
+  opts.passes = 4;
+  const Router fine(opts);
+  const auto net_tasks = make_tasks(nl, pl);
+  const auto a = fine.route(net_tasks, pl.floorplan.die, lib.metal());
+  const auto b = fine.route(net_tasks, pl.floorplan.die, lib.metal());
+  EXPECT_EQ(a.stats.failed_nets, 0u);
+  // The A* work counters are live, so comparing them means something.
+  EXPECT_GT(a.stats.searches, 0u);
+  EXPECT_GE(a.stats.heap_pops, a.stats.searches);
+  EXPECT_GE(a.stats.heap_pushes, a.stats.heap_pops);
+  expect_identical_routing(a, b);
 }
 
 TEST_F(RouterTest, CongestionSpreadsTraffic) {
@@ -224,80 +269,8 @@ TEST_F(RouterTest, CongestionSpreadsTraffic) {
   EXPECT_LE(res.stats.overflowed_gcells, 2u);
 }
 
-/// Byte-level equality of two routing results: per-net success flags and
-/// exact segment lists, plus the aggregate stats and overflow count.
-void expect_identical_routing(const RoutingResult& a, const RoutingResult& b) {
-  ASSERT_EQ(a.routes.size(), b.routes.size());
-  for (std::size_t i = 0; i < a.routes.size(); ++i) {
-    const auto& ra = a.routes[i];
-    const auto& rb = b.routes[i];
-    EXPECT_EQ(ra.net, rb.net);
-    EXPECT_EQ(ra.success, rb.success);
-    ASSERT_EQ(ra.segments.size(), rb.segments.size()) << "net index " << i;
-    for (std::size_t s = 0; s < ra.segments.size(); ++s) {
-      EXPECT_EQ(ra.segments[s].a, rb.segments[s].a) << "net " << i;
-      EXPECT_EQ(ra.segments[s].b, rb.segments[s].b) << "net " << i;
-    }
-  }
-  EXPECT_EQ(a.stats.total_vias(), b.stats.total_vias());
-  EXPECT_DOUBLE_EQ(a.stats.total_wire_um(), b.stats.total_wire_um());
-  EXPECT_EQ(a.stats.failed_nets, b.stats.failed_nets);
-  EXPECT_EQ(a.stats.overflowed_gcells, b.stats.overflowed_gcells);
-  EXPECT_EQ(a.stats.searches, b.stats.searches);
-  EXPECT_EQ(a.stats.heap_pops, b.stats.heap_pops);
-  EXPECT_EQ(a.stats.heap_pushes, b.stats.heap_pushes);
-}
-
-// The tentpole guarantee: sharding the negotiation rounds over any number
-// of workers yields byte-identical routes — jobs only changes wall time.
-TEST_F(RouterTest, JobsDoNotChangeRoutes) {
-  CellLibrary lib;
-  const auto nl = sm::workloads::generate(
-      lib, sm::workloads::iscas85_profile("c880"), 5);
-  sm::place::Placer placer;
-  const auto pl = placer.place(nl);
-  const auto tasks = make_tasks(nl, pl);
-
-  RouterOptions opts;
-  opts.gcell_um = 1.4;  // fine grid so negotiation actually has work to do
-  opts.passes = 4;
-  opts.jobs = 1;
-  const auto serial = Router(opts).route(tasks, pl.floorplan.die, lib.metal());
-  // The A* work counters are live, so comparing them below means something.
-  EXPECT_GT(serial.stats.searches, 0u);
-  EXPECT_GE(serial.stats.heap_pops, serial.stats.searches);
-  EXPECT_GE(serial.stats.heap_pushes, serial.stats.heap_pops);
-  for (const std::size_t jobs : {2u, 8u}) {
-    opts.jobs = jobs;
-    const auto sharded =
-        Router(opts).route(tasks, pl.floorplan.die, lib.metal());
-    expect_identical_routing(serial, sharded);
-  }
-}
-
-// Congested corridor under sharding: the greedy keep/rip selection and the
-// snapshot-commit rounds must stay byte-identical when every round
-// actually rips and re-routes nets.
-TEST_F(RouterTest, JobsDoNotChangeCongestedRoutes) {
-  std::vector<RouteTask> tasks;
-  for (int i = 0; i < 48; ++i) {
-    RouteTask t;
-    t.net = static_cast<sm::netlist::NetId>(i);
-    const double y = 14.0 + (i % 12) * 2.8;
-    t.terminals = {{{2, y}, 1}, {{54, y}, 1}};
-    tasks.push_back(std::move(t));
-  }
-  RouterOptions opts;
-  opts.passes = 6;
-  opts.jobs = 1;
-  const auto serial = Router(opts).route(tasks, die, stack);
-  opts.jobs = 8;
-  const auto sharded = Router(opts).route(tasks, die, stack);
-  expect_identical_routing(serial, sharded);
-}
-
 // The per-net tie-break streams must depend on the router seed (different
-// seeds may legitimately break ties differently) but never on jobs.
+// seeds may legitimately break ties differently).
 TEST_F(RouterTest, TieJitterIsSeededAndBounded) {
   RouteTask t;
   t.net = 0;
@@ -437,6 +410,31 @@ TEST_F(RouterTest, AStarReturnsCheapestPath) {
       }
     }
   }
+}
+
+// A net whose clipped window holds no path must retry on the full grid. The
+// blockage walls off gcell columns 18-20 on every layer from row 0 to row
+// 25; the net's window (rows 15 +- bbox_margin = 7..23) lies inside that
+// span, so only a detour through rows 26-29 connects the pins.
+TEST_F(RouterTest, ClippedFailureRetriesOnFullGrid) {
+  const Rect area{{0, 0}, {112, 84}};  // 40 x 30 gcells
+  auto gcell = [](int x, int y) {
+    return Point{(x + 0.5) * 2.8, (y + 0.5) * 2.8};
+  };
+  RouteTask t;
+  t.net = 0;
+  t.terminals = {{gcell(5, 15), 1}, {gcell(35, 15), 1}};
+  RouterOptions opts;
+  ASSERT_EQ(opts.bbox_margin, 8);
+  opts.blockages.push_back({Rect{gcell(18, 0), gcell(20, 25)}, 1, 10});
+  const auto res = Router(opts).route({t}, area, stack);
+  EXPECT_EQ(res.stats.failed_nets, 0u);
+  bool detour = false;
+  for (const auto& seg : res.routes[0].segments)
+    detour |= std::max(seg.a.y, seg.b.y) >= 26;
+  EXPECT_TRUE(detour) << "the route never left the clipped window";
+  EXPECT_EQ(res.stats.searches, 2u);  // the clipped search, then the retry
+  check_connected(res.grid, res.routes[0], t.terminals);
 }
 
 TEST_F(RouterTest, MakeTasksFromNetlist) {
