@@ -40,15 +40,14 @@ void BM_Simulation64Patterns(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 64);
 }
 
-// BM_CompareOerHd / BM_CompareThroughputJobs pin lanes=1 (the pre-ISSUE-10
-// scalar word path) so the rigs stay comparable across releases; the
-// *Lanes variants below sweep the wide-word widths. OER/HD are
-// bit-identical for every lane width (tests/test_sim.cpp) — only the wall
-// time moves.
+// BM_CompareOerHd pins lanes=1 (the pre-ISSUE-10 scalar word path) so the
+// rig stays comparable across releases; the *Lanes variants below sweep the
+// wide-word widths. OER/HD are bit-identical for every lane width
+// (tests/test_sim.cpp) — only the wall time moves.
 void BM_CompareOerHd(benchmark::State& state) {
   const auto nl = make_bench("c880");
   for (auto _ : state) {
-    const auto r = sim::compare(nl, nl, 4096, 3, 1, 1);
+    const auto r = sim::compare(nl, nl, 4096, 3, 1);
     benchmark::DoNotOptimize(r);
   }
 }
@@ -58,33 +57,18 @@ void BM_CompareOerHdLanes(benchmark::State& state) {
   const auto nl = make_bench("c880");
   const std::size_t lanes = static_cast<std::size_t>(state.range(0));
   for (auto _ : state) {
-    const auto r = sim::compare(nl, nl, 4096, 3, 1, lanes);
+    const auto r = sim::compare(nl, nl, 4096, 3, lanes);
     benchmark::DoNotOptimize(r);
   }
 }
 
-// Sim throughput of the block-parallel compare path: patterns/second over
-// the per-block task_seed streams. Arg = worker threads (results are
-// bit-identical across them; only the wall time moves).
-void BM_CompareThroughputJobs(benchmark::State& state) {
-  const auto nl = make_bench("c2670");
-  const std::size_t jobs = static_cast<std::size_t>(state.range(0));
-  constexpr std::size_t kPatterns = 65536;
-  for (auto _ : state) {
-    const auto r = sim::compare(nl, nl, kPatterns, 3, jobs, 1);
-    benchmark::DoNotOptimize(r);
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(kPatterns));
-}
-
-// Serial wide-word throughput: Arg = lane width.
+// Sim throughput (patterns/second) of the compare path: Arg = lane width.
 void BM_CompareThroughputLanes(benchmark::State& state) {
   const auto nl = make_bench("c2670");
   const std::size_t lanes = static_cast<std::size_t>(state.range(0));
   constexpr std::size_t kPatterns = 65536;
   for (auto _ : state) {
-    const auto r = sim::compare(nl, nl, kPatterns, 3, 1, lanes);
+    const auto r = sim::compare(nl, nl, kPatterns, 3, lanes);
     benchmark::DoNotOptimize(r);
   }
   state.SetItemsProcessed(state.iterations() *
@@ -211,12 +195,11 @@ struct AttackRig {
 };
 
 void attack_candidates(benchmark::State& state, int index_min_drivers,
-                       std::size_t jobs, bool mcmf_warm = true) {
+                       bool mcmf_warm = true) {
   const auto& rig = AttackRig::instance();
   attack::ProximityOptions opts;
   opts.eval_patterns = 64;
   opts.index_min_drivers = index_min_drivers;
-  opts.jobs = jobs;
   opts.mcmf_warm = mcmf_warm;
   for (auto _ : state) {
     const auto res = attack::proximity_attack(
@@ -226,11 +209,11 @@ void attack_candidates(benchmark::State& state, int index_min_drivers,
 }
 
 void BM_AttackCandidatesBrute(benchmark::State& state) {
-  attack_candidates(state, std::numeric_limits<int>::max(), 1);
+  attack_candidates(state, std::numeric_limits<int>::max());
 }
 
 void BM_AttackCandidatesIndexed(benchmark::State& state) {
-  attack_candidates(state, 0, 1);
+  attack_candidates(state, 0);
 }
 
 // The ISSUE-10 comparison rig: the identical attack with the per-round
@@ -238,11 +221,7 @@ void BM_AttackCandidatesIndexed(benchmark::State& state) {
 // bit-identical to BM_AttackCandidatesIndexed (tests/test_attack.cpp
 // WarmColdRig.C7552) — only the matcher's wall time moves.
 void BM_AttackCandidatesColdMcmf(benchmark::State& state) {
-  attack_candidates(state, 0, 1, /*mcmf_warm=*/false);
-}
-
-void BM_AttackCandidatesIndexedJobs(benchmark::State& state) {
-  attack_candidates(state, 0, static_cast<std::size_t>(state.range(0)));
+  attack_candidates(state, 0, /*mcmf_warm=*/false);
 }
 
 // ---- MCMF solver rigs (ISSUE-10) ----
@@ -345,7 +324,6 @@ void BM_GridIndexKNearest(benchmark::State& state) {
 BENCHMARK(BM_Simulation64Patterns);
 BENCHMARK(BM_CompareOerHd);
 BENCHMARK(BM_CompareOerHdLanes)->Arg(1)->Arg(4)->Arg(8);
-BENCHMARK(BM_CompareThroughputJobs)->Arg(1)->Arg(2)->Arg(4);
 BENCHMARK(BM_CompareThroughputLanes)->Arg(1)->Arg(4)->Arg(8);
 BENCHMARK(BM_Randomize);
 BENCHMARK(BM_Place);
@@ -357,11 +335,6 @@ BENCHMARK(BM_AttackCandidatesIndexed)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_AttackCandidatesColdMcmf)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_McmfSolveCold)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_McmfRepairWarm)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_AttackCandidatesIndexedJobs)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_GridIndexKNearest)->Arg(1000)->Arg(100000);
 
 }  // namespace

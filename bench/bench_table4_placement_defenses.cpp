@@ -24,11 +24,10 @@ using namespace sm;
 Score attack_avg(const netlist::Netlist& feol, const netlist::Netlist& truth,
                  const core::LayoutResult& layout,
                  const core::SwapLedger* ledger, std::size_t patterns,
-                 bool protected_ccr, std::size_t attack_jobs) {
+                 bool protected_ccr) {
   Score s;
   attack::ProximityOptions opts;
   opts.eval_patterns = patterns;
-  opts.jobs = attack_jobs;  // intra-attack sharding; metrics jobs-invariant
   for (const int split : {3, 4, 5}) {
     const auto view =
         core::split_layout(feol, layout.placement, layout.routing,
@@ -69,18 +68,18 @@ int main(int argc, char** argv) {
     PerBench& r = results[i];
 
     const auto original = core::layout_original(nl, flow);
-    r.so = attack_avg(nl, nl, original, nullptr, suite.patterns, false, suite.attack_jobs);
+    r.so = attack_avg(nl, nl, original, nullptr, suite.patterns, false);
 
     // [5]: selective, small perturbation (the paper reports only a marginal
     // improvement over unprotected layouts).
     const auto perturbed = core::layout_placement_perturbed(
         nl, flow, core::PerturbStrategy::Random, 0.05, suite.seed, 0.1);
-    r.sp = attack_avg(nl, nl, perturbed, nullptr, suite.patterns, false, suite.attack_jobs);
+    r.sp = attack_avg(nl, nl, perturbed, nullptr, suite.patterns, false);
 
     auto strategy_ccr = [&](core::PerturbStrategy st) {
       const auto lay = core::layout_placement_perturbed(nl, flow, st, 0.25,
                                                         suite.seed, 0.2);
-      return attack_avg(nl, nl, lay, nullptr, suite.patterns / 4, false, suite.attack_jobs).ccr;
+      return attack_avg(nl, nl, lay, nullptr, suite.patterns / 4, false).ccr;
     };
     r.s_rand = strategy_ccr(core::PerturbStrategy::Random);
     r.s_col = strategy_ccr(core::PerturbStrategy::GColor);
@@ -90,7 +89,7 @@ int main(int argc, char** argv) {
     const auto design =
         core::protect(nl, bench::default_randomize(suite.seed), flow);
     r.sprop = attack_avg(design.erroneous, nl, design.layout, &design.ledger,
-                         suite.patterns, true, suite.attack_jobs);
+                         suite.patterns, true);
   });
 
   util::Table table({"Benchmark", "Orig CCR", "Orig OER", "Orig HD",

@@ -21,11 +21,10 @@ struct Score {
 Score attack_avg(const netlist::Netlist& feol, const netlist::Netlist& truth,
                  const core::LayoutResult& layout,
                  const core::SwapLedger* ledger, std::size_t patterns,
-                 bool protected_ccr, std::size_t attack_jobs) {
+                 bool protected_ccr) {
   Score s;
   attack::ProximityOptions opts;
   opts.eval_patterns = patterns;
-  opts.jobs = attack_jobs;  // intra-attack sharding; metrics jobs-invariant
   for (const int split : {3, 4, 5}) {
     const auto view =
         core::split_layout(feol, layout.placement, layout.routing,
@@ -65,24 +64,24 @@ int main(int argc, char** argv) {
     PerBench& r = results[i];
 
     const auto original = core::layout_original(nl, flow);
-    r.so = attack_avg(nl, nl, original, nullptr, suite.patterns, false, suite.attack_jobs);
+    r.so = attack_avg(nl, nl, original, nullptr, suite.patterns, false);
 
     // [3]: swap roughly 2% of the nets' connections.
     const std::size_t swaps =
         std::max<std::size_t>(4, nl.num_nets() / 50);
     const auto pinswap = core::layout_pin_swapped(nl, flow, swaps, suite.seed);
     r.ssw = attack_avg(pinswap.erroneous, nl, pinswap.layout, &pinswap.ledger,
-                       suite.patterns, false, suite.attack_jobs);
+                       suite.patterns, false);
 
     // [12]: elevate 15% of the nets above M5.
     const auto rperturb =
         core::layout_routing_perturbed(nl, flow, 0.15, 6, suite.seed);
-    r.srp = attack_avg(nl, nl, rperturb, nullptr, suite.patterns, false, suite.attack_jobs);
+    r.srp = attack_avg(nl, nl, rperturb, nullptr, suite.patterns, false);
 
     const auto design =
         core::protect(nl, bench::default_randomize(suite.seed), flow);
     r.sp = attack_avg(design.erroneous, nl, design.layout, &design.ledger,
-                      suite.patterns, true, suite.attack_jobs);
+                      suite.patterns, true);
   });
 
   util::Table table({"Benchmark", "Orig CCR", "Orig HD", "PinSwap[3] CCR",

@@ -13,12 +13,6 @@
 //                   0 = hardware concurrency). Results are bit-identical
 //                   for any value — benches compute into index-addressed
 //                   slots and render tables in benchmark order afterwards.
-//   --attack-jobs=<n>  worker threads *inside* each proximity attack
-//                   (candidate generation + OER/HD simulation blocks);
-//                   default 1. Also bit-identical for any value. Prefer
-//                   --jobs when sweeping many benchmarks and --attack-jobs
-//                   when drilling into one large instance — combining both
-//                   oversubscribes the machine.
 //   --route-passes=<n>   router rip-up-and-reroute passes (default: the
 //                   suite tuning, currently 3)
 //   --detailed-passes=<n>  placer greedy-swap refinement sweeps (default:
@@ -52,7 +46,6 @@ struct SuiteOptions {
   std::size_t patterns = 100000;
   bool quick = false;
   std::size_t jobs = 1;         ///< threads for the benchmark loop; 0 = hw
-  std::size_t attack_jobs = 1;  ///< threads inside each proximity attack
   std::size_t route_passes = 0; ///< router negotiation passes; 0 = suite default
   int detailed_passes = -1;     ///< placer refinement sweeps; -1 = suite default
   std::vector<std::string> only;  ///< benchmark filter (empty = all)
@@ -62,12 +55,12 @@ inline SuiteOptions parse_suite(int argc, const char* const* argv) {
   util::Args args(argc, argv);
   SuiteOptions s;
   s.scale = args.get_double("scale", s.scale);
-  s.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
-  s.patterns = static_cast<std::size_t>(
-      args.get_int("patterns", static_cast<std::int64_t>(s.patterns)));
+  s.seed = args.get_count("seed", 1);
+  s.patterns = args.get_count("patterns", s.patterns);
+  if (s.patterns == 0)
+    throw std::invalid_argument("bench: --patterns must be >= 1");
   s.quick = args.get_bool("quick", false);
   s.jobs = args.get_count("jobs", 1);
-  s.attack_jobs = args.get_count("attack-jobs", 1);
   if (args.has("route-passes")) {
     s.route_passes = args.get_count("route-passes", 0);
     if (s.route_passes == 0)

@@ -4,7 +4,6 @@
 #include "netlist/topo.hpp"
 #include "util/grid_index.hpp"
 #include "util/rng.hpp"
-#include "util/thread_pool.hpp"
 
 #include <algorithm>
 #include <cmath>
@@ -13,7 +12,6 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <optional>
 #include <utility>
 #include <vector>
 
@@ -158,7 +156,7 @@ double pair_cost(const Netlist& feol, const Fragment& drv,
 
 /// One candidate pairing; per-sink lists are sorted by (cost, di) — the
 /// explicit driver-index tie-break keeps the indexed and brute-force paths
-/// (and reruns on any thread count) bit-identical.
+/// bit-identical.
 struct Cand {
   double cost;
   std::size_t di;
@@ -178,9 +176,9 @@ struct Cand {
 /// of the driver's indexed points. The query stops once every unvisited
 /// driver is provably worse than the current k-th candidate, so the result
 /// equals the brute-force scan. Small instances (or exotic negative
-/// weights that void the bound) use brute force directly. Immutable after
-/// construction: concurrent cheapest()/ranking() calls from the
-/// candidate-generation shards are safe (per-thread visit scratch).
+/// weights that void the bound) use brute force directly. The rankings are
+/// pure functions of the view; only the per-query visit scratch is
+/// mutable, like Hypothesis's.
 class CandidateFinder {
  public:
   CandidateFinder(const Netlist& feol, const SplitView& view,
@@ -221,9 +219,8 @@ class CandidateFinder {
       }
     }
     index_ = GridIndex(points, opts.index_target_per_cell);
+    mark_.assign(nd, 0);
   }
-
-  bool indexed() const { return use_index_; }
 
   /// The k cheapest drivers for `sf`, ascending by (cost, di).
   std::vector<Cand> cheapest(const Fragment& sf, std::size_t k) const {
@@ -242,15 +239,10 @@ class CandidateFinder {
       all.resize(k);
       return all;
     }
-    // Per-worker scratch deduplicating multi-vpin drivers within a query.
-    // Purely an intra-query visited set — nothing carries across queries,
-    // so results stay independent of which thread (or epoch) served them.
-    static thread_local std::vector<std::uint32_t> mark;
-    static thread_local std::uint32_t epoch = 0;
-    if (mark.size() < nd) mark.assign(nd, 0);
-    if (++epoch == 0) {
-      std::fill(mark.begin(), mark.end(), 0);
-      epoch = 1;
+    // Intra-query visited set deduplicating multi-vpin drivers.
+    if (++epoch_ == 0) {
+      std::fill(mark_.begin(), mark_.end(), 0);
+      epoch_ = 1;
     }
     const Point q = frag_anchor(sf);
     const double slack = vpin_spread(sf);
@@ -262,8 +254,8 @@ class CandidateFinder {
         q,
         [&](std::size_t pt) {
           const std::size_t di = owner_[pt];
-          if (mark[di] == epoch) return;  // another vpin already scored it
-          mark[di] = epoch;
+          if (mark_[di] == epoch_) return;  // another vpin already scored it
+          mark_[di] = epoch_;
           const Cand c{cost_of(sf, di), di};
           if (heap.size() < k) {
             heap.push_back(c);
@@ -306,6 +298,8 @@ class CandidateFinder {
   std::vector<std::size_t> owner_;  ///< indexed point -> driver index
   double cost_floor_ = 1.0;
   bool use_index_ = false;
+  mutable std::vector<std::uint32_t> mark_;  ///< visited iff == epoch_
+  mutable std::uint32_t epoch_ = 0;
 };
 
 }  // namespace
@@ -322,20 +316,6 @@ ProximityResult proximity_attack(const Netlist& feol, const Netlist& original,
   const auto snk_frag_ids = view.open_sink_fragments();
   const std::size_t nd = drv_frag_ids.size();
   const std::size_t ns = snk_frag_ids.size();
-
-  // One pool for every sharded phase (candidate generation, repair
-  // orderings); fresh-pool-per-batch would violate thread_pool.hpp's
-  // hot-loop guidance. Serial when jobs resolves to 1.
-  const std::size_t jobs = util::resolve_jobs(opts.jobs, std::max(ns, nd));
-  std::optional<util::ThreadPool> pool;
-  if (jobs > 1) pool.emplace(jobs);
-  const auto pfor = [&](std::size_t n,
-                        const std::function<void(std::size_t)>& fn) {
-    if (pool && n > 1)
-      pool->parallel_for(n, fn);
-    else
-      for (std::size_t i = 0; i < n; ++i) fn(i);
-  };
 
   // Sink pins the attacker must recover (everything else is FEOL-visible).
   // Sorted flat vector: queried in the per-driver budget loops and the
@@ -385,18 +365,15 @@ ProximityResult proximity_attack(const Netlist& feol, const Netlist& original,
   }
 
   // Candidate edges: the k cheapest driver fragments per sink fragment,
-  // queried through the spatial index (brute force for small nd) and
-  // sharded per sink — each query writes only its own slot, so the lists
-  // are identical for any jobs value.
+  // queried through the spatial index (brute force for small nd).
   const CandidateFinder finder(feol, view, drv_frag_ids, opts);
   const std::size_t k =
       opts.candidates_per_sink <= 0
           ? nd
           : std::min(nd, static_cast<std::size_t>(opts.candidates_per_sink));
   std::vector<std::vector<Cand>> per_sink(ns);
-  pfor(ns, [&](std::size_t si) {
+  for (std::size_t si = 0; si < ns; ++si)
     per_sink[si] = finder.cheapest(view.fragments[snk_frag_ids[si]], k);
-  });
 
   // Min-cost flow: source -> sink-fragments (cap 1) -> candidate drivers
   // (cap 1 each edge) -> drivers -> target (cap = fanout budget).
@@ -569,22 +546,13 @@ ProximityResult proximity_attack(const Netlist& feol, const Netlist& original,
       if (!done) exhausted.push_back(si);
     }
     // Stage 2 (rare): sinks whose every cached candidate closes a loop get
-    // the full cost ranking — computed in parallel (pure function of the
-    // view), then committed serially in sink order.
-    if (!exhausted.empty()) {
-      std::vector<std::vector<Cand>> full(exhausted.size());
-      pfor(exhausted.size(), [&](std::size_t j) {
-        full[j] = finder.ranking(view.fragments[snk_frag_ids[exhausted[j]]]);
-      });
-      for (std::size_t j = 0; j < exhausted.size(); ++j) {
-        const std::size_t si = exhausted[j];
-        for (const auto& c : full[j]) {
-          if (creates_loop(si, c.di)) continue;
-          commit(si, c.di);
-          break;
-        }
+    // the full cost ranking, committed in sink order.
+    for (const std::size_t si : exhausted)
+      for (const auto& c : finder.ranking(view.fragments[snk_frag_ids[si]])) {
+        if (creates_loop(si, c.di)) continue;
+        commit(si, c.di);
+        break;
       }
-    }
   }
 
   // Build the recovered netlist and score it.
@@ -628,8 +596,8 @@ ProximityResult proximity_attack(const Netlist& feol, const Netlist& original,
 
   recovered.validate();
   if (netlist::is_acyclic(recovered)) {
-    result.rates = sim::compare(original, recovered, opts.eval_patterns,
-                                opts.seed, opts.jobs, opts.sim_lanes);
+    result.rates =
+        sim::compare(original, recovered, opts.eval_patterns, opts.seed);
   } else {
     // Should not happen with loop checks on; report total failure honestly.
     result.rates.oer = 1.0;

@@ -9,12 +9,13 @@
 //   (ii) avoidance of combinational loops in the hypothesis netlist,
 //   (iii) load-capacitance constraints per driver strength,
 //   (iv) direction of the dangling wires at the split layer.
-// Matching is greedy-global over candidate pairs ordered by cost (a faithful
-// stand-in for the min-cost-flow formulation: both realize least-total-cost
-// assignment under the same feasibility rules). Every sink is eventually
-// connected (falling back to the nearest loop-free driver), so the recovered
-// netlist is complete and simulable — exactly what the CCR/OER/HD metrics
-// need.
+// Matching is the paper's network-flow formulation: a min-cost flow from
+// sink fragments to candidate drivers (capacity = load budget) picks the
+// least-total-cost assignment; loop repair removes the edges that would
+// close a combinational cycle and re-solves until the assignment stands.
+// Every sink is eventually connected (falling back to the nearest loop-free
+// driver), so the recovered netlist is complete and simulable — exactly
+// what the CCR/OER/HD metrics need.
 //
 // Scoring is against the true (original) netlist: CCR is the fraction of
 // recovered connections that match it; OER/HD are measured by simulating
@@ -23,10 +24,9 @@
 // Scale: candidate generation ranks driver fragments per sink through a
 // util::GridIndex over the driver fragments' vpins (expanding-ring queries
 // with an exact pair_cost lower bound), turning the O(ns*nd) all-pairs scan
-// into O(ns*k) for large instances, and shards the per-sink queries — plus
-// the repair orderings and the OER/HD simulation blocks — over
-// ProximityOptions::jobs worker threads. Metrics are bit-identical for any
-// jobs value and for indexed vs brute-force candidate generation.
+// into O(ns*k) for large instances. Metrics are bit-identical for indexed
+// vs brute-force candidate generation. The attack runs on the calling
+// thread; parallelism lives one level up, one sweep cell per worker.
 #pragma once
 
 #include "core/randomizer.hpp"
@@ -65,11 +65,6 @@ struct ProximityOptions {
   bool use_load = true;
   std::size_t eval_patterns = 100000;  ///< for OER/HD of the recovered netlist
   std::uint64_t seed = 7;
-  /// Worker threads (0 = hardware concurrency) sharding candidate
-  /// generation, the repair-ordering scan, and the OER/HD simulation.
-  /// Results are bit-identical for every value — no attack randomness may
-  /// depend on the executing thread.
-  std::size_t jobs = 1;
   /// Build the spatial vpin index when at least this many open driver
   /// fragments exist; below it (or when exotic negative weights void the
   /// index's cost lower bound) candidates come from the brute-force scan.
@@ -88,10 +83,6 @@ struct ProximityOptions {
   /// round — same assignment, strictly more work; kept as the equality
   /// oracle for the cold==warm rig tests.
   bool mcmf_warm = true;
-  /// SIMD lane width (uint64 words evaluated together) for the OER/HD
-  /// simulation: 1, 4, or 8; 0 picks sim::kDefaultSimLanes. Results are
-  /// byte-identical for every value.
-  std::size_t sim_lanes = 0;
 };
 
 struct ProximityResult {

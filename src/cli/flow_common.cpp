@@ -11,10 +11,9 @@ FlowSetup parse_setup(const util::Args& args) {
   FlowSetup s;
   s.bench = args.get("bench", s.bench);
   s.scale = args.get_double("scale", s.scale);
-  s.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
+  s.seed = args.get_count("seed", 1);
   s.split_layer = static_cast<int>(args.get_int("split-layer", s.split_layer));
-  s.patterns = static_cast<std::size_t>(
-      args.get_int("patterns", static_cast<std::int64_t>(s.patterns)));
+  s.patterns = parse_patterns(args, s.patterns);
   s.target_oer = args.get_double("target-oer", s.target_oer);
 
   const auto& sb = workloads::superblue_names();
@@ -60,6 +59,12 @@ FlowSetup parse_setup(const util::Args& args) {
   s.rand_opts.target_oer = s.target_oer;
   s.rand_opts.check_patterns = 4096;
   return s;
+}
+
+std::size_t parse_patterns(const util::Args& args, std::size_t fallback) {
+  const std::size_t patterns = args.get_count("patterns", fallback);
+  if (patterns == 0) throw std::invalid_argument("--patterns must be >= 1");
+  return patterns;
 }
 
 netlist::Netlist make_netlist(const netlist::CellLibrary& lib,

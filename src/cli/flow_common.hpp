@@ -30,8 +30,12 @@ struct FlowSetup {
 };
 
 /// Parse the common options and resolve the benchmark profile. Throws
-/// std::invalid_argument for unknown benchmark names.
+/// std::invalid_argument for unknown benchmark names and malformed counts.
 FlowSetup parse_setup(const util::Args& args);
+
+/// --patterns, strictly parsed and at least 1: zero patterns would report
+/// OER/HD 0% without simulating anything.
+std::size_t parse_patterns(const util::Args& args, std::size_t fallback);
 
 /// Generate the benchmark netlist for a setup.
 netlist::Netlist make_netlist(const netlist::CellLibrary& lib,

@@ -11,11 +11,12 @@
 //   sm_flow report   — protected vs unprotected side-by-side: security and
 //                      PPA in one table (the quickstart, tabulated).
 //   sm_flow sweep    — parallel attack sweep over {benchmarks × seeds ×
-//                      split layers × defenses} through util::ThreadPool;
-//                      bit-identical metrics for any --jobs value. With
-//                      --store the sweep appends every completed cell to an
-//                      append-only JSONL log (crash-safe resume via
-//                      --resume, deterministic --shard i/N splits).
+//                      split layers × defenses}, each task on one worker
+//                      thread (util::parallel_for); bit-identical metrics
+//                      for any --jobs value. With --store the sweep
+//                      appends every completed cell to an append-only
+//                      JSONL log (crash-safe resume via --resume,
+//                      deterministic --shard i/N splits).
 //   sm_flow materialize — rebuild the sweep tables from store logs alone.
 //   sm_flow serve    — fault-tolerant sweep supervisor: dispatches missing
 //                      grid cells to child `sm_flow sweep` worker processes
@@ -38,6 +39,8 @@
 #include "sweep/sweep.hpp"
 #include "util/table.hpp"
 
+#include <algorithm>
+#include <climits>
 #include <cstdio>
 #include <exception>
 #include <optional>
@@ -61,16 +64,15 @@ int usage(std::FILE* to) {
       "            [--out-def=F] FEOL-only DEF with VPINS  [--unprotected]\n"
       "  attack    proximity attack on the FEOL; CCR/OER/HD\n"
       "            [--unprotected] [--no-direction] [--no-load] [--no-loops]\n"
-      "            [--candidates=N] [--jobs=N] [--index-threshold=N]\n"
-      "            [--sim-lanes=N] simulation lane width 1|4|8 (0 = auto);\n"
-      "            OER/HD are bit-identical for any lane width\n"
-      "            (results are bit-identical for any --jobs value)\n"
+      "            [--candidates=N] nearest drivers per sink (default 16;\n"
+      "            0 = all pairs)\n"
       "  report    protected vs unprotected security + PPA table\n"
-      "            [--jobs=N] [--index-threshold=N]\n"
       "  sweep     parallel attack sweep over {benchmarks x seeds x split\n"
       "            layers x defenses x attackers}; metrics are bit-identical\n"
       "            for any --jobs value\n"
-      "            [--jobs=N] [--grid=SPEC] [--benchmarks=a,b] [--seeds=1,2]\n"
+      "            [--jobs=N] worker threads over the grid's tasks\n"
+      "            (0 = hardware)\n"
+      "            [--grid=SPEC] [--benchmarks=a,b] [--seeds=1,2]\n"
       "            [--splits=3,4,5] [--defenses=unprotected,proposed,\n"
       "              place-perturb,g-color,g-type1,g-type2,pin-swap,\n"
       "              route-perturb,route-blockage]\n"
@@ -120,9 +122,6 @@ int usage(std::FILE* to) {
       "  --patterns=N     simulation patterns for OER/HD (default 100000)\n"
       "  --target-oer=F   randomization stop threshold (default 0.995)\n"
       "  --buffering      enable post-placement drive-strength fixing\n"
-      "  --jobs=N         worker threads (attack phases for attack/report;\n"
-      "                   sweep tasks). 0 = hardware; the router runs on\n"
-      "                   one thread\n"
       "  --route-passes=N router rip-up-and-reroute passes (default 3)\n"
       "  --detailed-passes=N  placer refinement sweeps (default M6 2, M8 1)\n",
       to);
@@ -165,16 +164,9 @@ attack::ProximityOptions attack_options(const util::Args& args,
   a.use_load = !args.has("no-load");
   a.use_loops = !args.has("no-loops");
   a.use_strength_prior = args.get_bool("strength-prior", false);
-  a.candidates_per_sink =
-      static_cast<int>(args.get_int("candidates", a.candidates_per_sink));
-  // Sharding + spatial-index knobs; CCR/OER/HD are bit-identical for any
-  // --jobs value and for indexed vs brute-force candidate generation.
-  a.jobs = args.get_count("jobs", 1);
-  a.index_min_drivers =
-      static_cast<int>(args.get_int("index-threshold", a.index_min_drivers));
-  // Lane width: OER/HD are bit-identical for every width (test- and
-  // CI-enforced), so it only moves the wall clock.
-  a.sim_lanes = static_cast<std::size_t>(args.get_int("sim-lanes", 0));
+  // 0 keeps every driver as a candidate (all-pairs matching).
+  a.candidates_per_sink = static_cast<int>(std::min<std::size_t>(
+      args.get_count("candidates", a.candidates_per_sink), INT_MAX));
   return a;
 }
 
@@ -393,7 +385,7 @@ int cmd_sweep(const util::Args& args) {
 
   sweep::Options opts;
   opts.jobs = args.get_count("jobs", 1);
-  opts.patterns = args.get_count("patterns", quick ? 2000 : 100000);
+  opts.patterns = parse_patterns(args, quick ? 2000 : 100000);
   opts.store_path = args.has("store") ? args.get("store", "") : "";
   opts.resume = args.get_bool("resume", false);
   if (args.has("shard"))
@@ -467,7 +459,7 @@ int cmd_materialize(const util::Args& args) {
   const bool quick = args.get_bool("quick", false);
   const sweep::Grid grid = grid_from_args(args, quick);
   sweep::Options opts;
-  opts.patterns = args.get_count("patterns", quick ? 2000 : 100000);
+  opts.patterns = parse_patterns(args, quick ? 2000 : 100000);
 
   const auto store = sweep::load_store(paths, /*must_exist=*/true);
   std::printf("materialize: %zu records from %zu log(s) (%zu lines, "
@@ -518,7 +510,7 @@ int cmd_serve(const util::Args& args) {
   const sweep::Grid grid = grid_from_args(args, quick);
 
   sweep::ServeOptions sopts;
-  sopts.sweep.patterns = args.get_count("patterns", quick ? 2000 : 100000);
+  sopts.sweep.patterns = parse_patterns(args, quick ? 2000 : 100000);
   sopts.sweep.store_path = args.has("store") ? args.get("store", "") : "";
   if (sopts.sweep.store_path.empty())
     throw std::invalid_argument("serve: --store=FILE is required");

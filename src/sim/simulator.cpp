@@ -1,11 +1,9 @@
 #include "sim/simulator.hpp"
 
 #include "netlist/topo.hpp"
-#include "util/thread_pool.hpp"
 
 #include <array>
 #include <bit>
-#include <mutex>
 #include <stdexcept>
 
 // Word-parallel simulation leans on C++20 <bit> (std::popcount); without
@@ -49,12 +47,6 @@ Simulator::Simulator(const Netlist& nl) : nl_(&nl) {
 void Simulator::eval(const std::vector<std::uint64_t>& source_words,
                      std::vector<std::uint64_t>& observer_words) const {
   eval_lanes<1>(source_words, observer_words, values_);
-}
-
-void Simulator::eval(const std::vector<std::uint64_t>& source_words,
-                     std::vector<std::uint64_t>& observer_words,
-                     std::vector<std::uint64_t>& values) const {
-  eval_lanes<1>(source_words, observer_words, values);
 }
 
 template <std::size_t W>
@@ -195,8 +187,8 @@ std::size_t blocks_for(std::size_t patterns) {
 /// with the block's own task_seed RNG stream. The stream is drawn word-major
 /// then source-major — exactly the order the scalar path consumed it — so
 /// the (block, word) -> stimulus mapping is byte-identical for every lane
-/// width (and independent of the worker count). Tail lanes past the last
-/// pattern word are zero-filled without consuming RNG draws and masked out.
+/// width. Tail lanes past the last pattern word are zero-filled without
+/// consuming RNG draws and masked out.
 template <std::size_t W, class Fn>
 void run_block_lanes(std::size_t b, std::size_t patterns, std::uint64_t seed,
                      std::vector<std::uint64_t>& src, std::size_t num_sources,
@@ -227,53 +219,37 @@ void run_block_lanes(std::size_t b, std::size_t patterns, std::uint64_t seed,
 
 template <std::size_t W>
 ErrorRates compare_lanes(const Netlist& golden, const Netlist& dut,
-                         std::size_t patterns, std::uint64_t seed,
-                         std::size_t jobs) {
+                         std::size_t patterns, std::uint64_t seed) {
   Simulator sg(golden);
   Simulator sd(dut);
   if (sg.num_sources() != sd.num_sources() ||
       sg.num_observers() != sd.num_observers())
     throw std::invalid_argument("compare: source/observer count mismatch");
 
-  struct BlockCounts {
-    std::size_t wrong_bits = 0;
-    std::size_t wrong_patterns = 0;
-    std::size_t patterns = 0;
-  };
-  const std::size_t blocks = blocks_for(patterns);
-  std::vector<BlockCounts> counts(blocks);
-  util::parallel_for(jobs, blocks, [&](std::size_t b) {
-    std::vector<std::uint64_t> src(sg.num_sources() * W);
-    std::vector<std::uint64_t> out_g, out_d, val_g, val_d;
-    BlockCounts& c = counts[b];
+  std::size_t wrong_bits = 0, wrong_patterns = 0, total_patterns = 0;
+  std::vector<std::uint64_t> src(sg.num_sources() * W);
+  std::vector<std::uint64_t> out_g, out_d, val_g, val_d;
+  for (std::size_t b = 0; b < blocks_for(patterns); ++b)
     run_block_lanes<W>(
         b, patterns, seed, src, sg.num_sources(),
         [&](std::size_t batch_total, const std::array<std::uint64_t, W>& m) {
           sg.eval_lanes<W>(src, out_g, val_g);
           sd.eval_lanes<W>(src, out_d, val_d);
           std::uint64_t any_diff[W] = {};
-          std::size_t wrong_bits = 0;
+          std::size_t group_bits = 0;
           for (std::size_t i = 0; i < sg.num_observers(); ++i)
             for (std::size_t j = 0; j < W; ++j) {
               const std::uint64_t diff =
                   (out_g[i * W + j] ^ out_d[i * W + j]) & m[j];
-              wrong_bits += static_cast<std::size_t>(std::popcount(diff));
+              group_bits += static_cast<std::size_t>(std::popcount(diff));
               any_diff[j] |= diff;
             }
-          c.wrong_bits += wrong_bits;
+          wrong_bits += group_bits;
           for (std::size_t j = 0; j < W; ++j)
-            c.wrong_patterns +=
+            wrong_patterns +=
                 static_cast<std::size_t>(std::popcount(any_diff[j]));
-          c.patterns += batch_total;
+          total_patterns += batch_total;
         });
-  });
-
-  std::size_t wrong_bits = 0, wrong_patterns = 0, total_patterns = 0;
-  for (const auto& c : counts) {
-    wrong_bits += c.wrong_bits;
-    wrong_patterns += c.wrong_patterns;
-    total_patterns += c.patterns;
-  }
 
   ErrorRates r;
   r.patterns = total_patterns;
@@ -287,17 +263,13 @@ ErrorRates compare_lanes(const Netlist& golden, const Netlist& dut,
 template <std::size_t W>
 std::vector<double> toggle_rates_lanes(const Netlist& nl,
                                        std::size_t patterns,
-                                       std::uint64_t seed, std::size_t jobs) {
+                                       std::uint64_t seed) {
   Simulator s(nl);
   std::vector<std::size_t> ones(nl.num_nets(), 0);
   std::size_t total = 0;
-  std::mutex merge;
-  const std::size_t blocks = blocks_for(patterns);
-  util::parallel_for(jobs, blocks, [&](std::size_t b) {
-    std::vector<std::uint64_t> src(s.num_sources() * W);
-    std::vector<std::uint64_t> out, vals;
-    std::vector<std::size_t> local(nl.num_nets(), 0);
-    std::size_t local_total = 0;
+  std::vector<std::uint64_t> src(s.num_sources() * W);
+  std::vector<std::uint64_t> out, vals;
+  for (std::size_t b = 0; b < blocks_for(patterns); ++b)
     run_block_lanes<W>(
         b, patterns, seed, src, s.num_sources(),
         [&](std::size_t batch_total, const std::array<std::uint64_t, W>& m) {
@@ -306,15 +278,10 @@ std::vector<double> toggle_rates_lanes(const Netlist& nl,
             std::size_t c = 0;
             for (std::size_t j = 0; j < W; ++j)
               c += static_cast<std::size_t>(std::popcount(vals[n * W + j] & m[j]));
-            local[n] += c;
+            ones[n] += c;
           }
-          local_total += batch_total;
+          total += batch_total;
         });
-    // Integer sums commute, so the merge order cannot leak into the rates.
-    const std::lock_guard<std::mutex> g(merge);
-    for (NetId n = 0; n < nl.num_nets(); ++n) ones[n] += local[n];
-    total += local_total;
-  });
   std::vector<double> act(nl.num_nets(), 0.0);
   if (total == 0) return act;
   for (NetId n = 0; n < nl.num_nets(); ++n) {
@@ -335,11 +302,11 @@ std::size_t resolve_lanes(std::size_t lanes) {
 
 ErrorRates compare(const Netlist& golden, const Netlist& dut,
                    std::size_t patterns, std::uint64_t seed,
-                   std::size_t jobs, std::size_t lanes) {
+                   std::size_t lanes) {
   switch (resolve_lanes(lanes)) {
-    case 1: return compare_lanes<1>(golden, dut, patterns, seed, jobs);
-    case 4: return compare_lanes<4>(golden, dut, patterns, seed, jobs);
-    default: return compare_lanes<8>(golden, dut, patterns, seed, jobs);
+    case 1: return compare_lanes<1>(golden, dut, patterns, seed);
+    case 4: return compare_lanes<4>(golden, dut, patterns, seed);
+    default: return compare_lanes<8>(golden, dut, patterns, seed);
   }
 }
 
@@ -350,12 +317,11 @@ bool equivalent(const Netlist& a, const Netlist& b, std::size_t patterns,
 }
 
 std::vector<double> toggle_rates(const Netlist& nl, std::size_t patterns,
-                                 std::uint64_t seed, std::size_t jobs,
-                                 std::size_t lanes) {
+                                 std::uint64_t seed, std::size_t lanes) {
   switch (resolve_lanes(lanes)) {
-    case 1: return toggle_rates_lanes<1>(nl, patterns, seed, jobs);
-    case 4: return toggle_rates_lanes<4>(nl, patterns, seed, jobs);
-    default: return toggle_rates_lanes<8>(nl, patterns, seed, jobs);
+    case 1: return toggle_rates_lanes<1>(nl, patterns, seed);
+    case 4: return toggle_rates_lanes<4>(nl, patterns, seed);
+    default: return toggle_rates_lanes<8>(nl, patterns, seed);
   }
 }
 

@@ -12,14 +12,12 @@
 // never adds or removes cells — original and erroneous netlists always have
 // identical DFF sets.
 //
-// Block parallelism: compare() and toggle_rates() group pattern words into
+// Pattern blocks: compare() and toggle_rates() group pattern words into
 // fixed-size blocks (kPatternsPerBlock patterns each). Every block draws its
 // stimuli from an independent RNG stream seeded with util::task_seed(seed,
-// block_index) and evaluates through its own value buffers, so blocks can
-// run concurrently on a thread pool; per-block popcounts are reduced in
-// block-index order afterwards. The block partition is a function of the
-// pattern count alone — never of `jobs` — so results are bit-identical for
-// any worker count.
+// block_index). The block partition is a function of the pattern count
+// alone — never of the lane width — so it fixes every stimulus, and the
+// popcounts reduce to integer sums.
 #pragma once
 
 #include "netlist/netlist.hpp"
@@ -49,14 +47,6 @@ class Simulator {
   void eval(const std::vector<std::uint64_t>& source_words,
             std::vector<std::uint64_t>& observer_words) const;
 
-  /// Same, but through a caller-owned per-net value buffer (resized to
-  /// num_nets() on entry). Concurrent eval() calls on one Simulator are safe
-  /// exactly when every thread passes its own buffer — this is the overload
-  /// the block-parallel compare()/toggle_rates() paths use.
-  void eval(const std::vector<std::uint64_t>& source_words,
-            std::vector<std::uint64_t>& observer_words,
-            std::vector<std::uint64_t>& values) const;
-
   /// Wide-lane evaluation: W pattern words (64*W patterns) per call, laid
   /// out structure-of-arrays — source i's words at source_words[i*W..i*W+W),
   /// net n's words at values[n*W..n*W+W) — so every gate touches W
@@ -67,9 +57,6 @@ class Simulator {
   void eval_lanes(const std::vector<std::uint64_t>& source_words,
                   std::vector<std::uint64_t>& observer_words,
                   std::vector<std::uint64_t>& values) const;
-
-  /// Net values from the most recent buffer-less eval() (indexed by NetId).
-  const std::vector<std::uint64_t>& net_values() const { return values_; }
 
  private:
   const netlist::Netlist* nl_;
@@ -87,8 +74,8 @@ struct ErrorRates {
   std::size_t patterns = 0;
 };
 
-/// Patterns per RNG block of compare()/toggle_rates(). Fixed — the block
-/// partition (and therefore every metric) must not depend on `jobs`.
+/// Patterns per RNG block of compare()/toggle_rates(); the block partition
+/// (and therefore every metric) depends on the pattern count alone.
 inline constexpr std::size_t kPatternsPerBlock = 4096;
 
 /// Lane width compare()/toggle_rates() use when asked for `lanes == 0`.
@@ -101,13 +88,11 @@ inline constexpr std::size_t kDefaultSimLanes = 8;
 /// Compare two netlists with `patterns` random stimuli (rounded up to a
 /// multiple of 64). Requires matching source/observer counts (the
 /// randomization defense preserves them). Throws std::invalid_argument
-/// otherwise. `jobs` shards the pattern blocks over worker threads
-/// (0 = hardware concurrency); `lanes` picks the SIMD lane width (1, 4, or
-/// 8; 0 = kDefaultSimLanes). Results are bit-identical for any jobs and
-/// lanes values.
+/// otherwise. `lanes` picks the SIMD lane width (1, 4, or 8;
+/// 0 = kDefaultSimLanes). Results are bit-identical for any lanes value.
 ErrorRates compare(const netlist::Netlist& golden, const netlist::Netlist& dut,
                    std::size_t patterns, std::uint64_t seed,
-                   std::size_t jobs = 1, std::size_t lanes = 0);
+                   std::size_t lanes = 0);
 
 /// True when `patterns` random stimuli produce identical observer responses.
 /// (Simulation-based equivalence; exhaustive when the netlist has <= 20
@@ -117,11 +102,10 @@ bool equivalent(const netlist::Netlist& a, const netlist::Netlist& b,
 
 /// Per-net switching activity estimate: 2*p*(1-p) where p is the signal
 /// probability measured over `patterns` random stimuli. Used for dynamic
-/// power in sm::timing. `jobs` and `lanes` as in compare(); the per-net
-/// one-counts are integer sums over blocks, so any merge order (and any
-/// lane width) yields identical rates.
+/// power in sm::timing. `lanes` as in compare(); the per-net one-counts
+/// are integer sums, so every lane width yields identical rates.
 std::vector<double> toggle_rates(const netlist::Netlist& nl,
                                  std::size_t patterns, std::uint64_t seed,
-                                 std::size_t jobs = 1, std::size_t lanes = 0);
+                                 std::size_t lanes = 0);
 
 }  // namespace sm::sim

@@ -4,8 +4,10 @@
 // split layers × defenses × attackers, each cell an independent
 // place/route/(protect)/split/attack pipeline — which makes them
 // embarrassingly parallel. This module expands such a product (`Grid`) into
-// tasks, runs them over a util::ThreadPool, and aggregates the CCR/OER/HD
-// metrics into a util::Table plus CSV/JSON exports.
+// tasks, runs them through util::parallel_for — one task per worker thread
+// at a time; nothing inside a task starts threads of its own — and
+// aggregates the CCR/OER/HD metrics into a util::Table plus CSV/JSON
+// exports.
 //
 // Determinism guarantee: every metric in the result depends only on the
 // grid coordinates of its row — (benchmark, seed, split layer, defense,

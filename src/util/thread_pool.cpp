@@ -1,27 +1,29 @@
 #include "util/thread_pool.hpp"
 
-#include <atomic>
-#include <condition_variable>
-#include <cstdint>
 #include <deque>
 #include <exception>
 #include <mutex>
 #include <thread>
+#include <vector>
 
 namespace sm::util {
 namespace {
 
-/// One in-flight parallel_for: per-worker index deques plus completion and
-/// first-error bookkeeping. Lives on the caller's stack; the hand-off
-/// protocol in ThreadPool::parallel_for guarantees no worker touches it
-/// after the call returns.
+/// One parallel_for call: per-worker index deques plus first-error
+/// bookkeeping. Lives on the caller's stack; every worker is joined before
+/// the call returns.
 struct Batch {
-  explicit Batch(std::size_t workers) : queues(workers), locks(workers) {}
+  Batch(std::size_t workers, std::size_t n,
+        const std::function<void(std::size_t)>& task)
+      : queues(workers), locks(workers), fn(task) {
+    // Contiguous slices: neighbouring grid tasks usually share a benchmark.
+    const std::size_t chunk = (n + workers - 1) / workers;
+    for (std::size_t i = 0; i < n; ++i) queues[i / chunk].push_back(i);
+  }
 
   std::vector<std::deque<std::size_t>> queues;
   std::vector<std::mutex> locks;
-  const std::function<void(std::size_t)>* fn = nullptr;
-  std::atomic<std::size_t> outstanding{0};
+  const std::function<void(std::size_t)>& fn;
 
   std::mutex err_mutex;
   std::exception_ptr error;
@@ -30,142 +32,41 @@ struct Batch {
   /// Next index for worker `self`: own front first, then steal from the
   /// back of the nearest non-empty victim.
   bool pop(std::size_t self, std::size_t& out) {
-    {
-      std::lock_guard<std::mutex> g(locks[self]);
-      if (!queues[self].empty()) {
-        out = queues[self].front();
-        queues[self].pop_front();
-        return true;
-      }
-    }
-    for (std::size_t k = 1; k < queues.size(); ++k) {
+    for (std::size_t k = 0; k < queues.size(); ++k) {
       const std::size_t victim = (self + k) % queues.size();
       std::lock_guard<std::mutex> g(locks[victim]);
-      if (!queues[victim].empty()) {
-        out = queues[victim].back();
-        queues[victim].pop_back();
-        return true;
+      auto& q = queues[victim];
+      if (q.empty()) continue;
+      if (k == 0) {
+        out = q.front();
+        q.pop_front();
+      } else {
+        out = q.back();
+        q.pop_back();
       }
+      return true;
     }
     return false;
-  }
-
-  /// Keep only the lowest-index failure so the rethrow is deterministic.
-  void record_error(std::size_t index) {
-    std::lock_guard<std::mutex> g(err_mutex);
-    if (!error || index < error_index) {
-      error = std::current_exception();
-      error_index = index;
-    }
   }
 
   void drain(std::size_t self) {
     std::size_t i = 0;
     while (pop(self, i)) {
       try {
-        (*fn)(i);
+        fn(i);
       } catch (...) {
-        record_error(i);
+        // Keep only the lowest-index failure: a deterministic rethrow.
+        std::lock_guard<std::mutex> g(err_mutex);
+        if (!error || i < error_index) {
+          error = std::current_exception();
+          error_index = i;
+        }
       }
-      outstanding.fetch_sub(1, std::memory_order_acq_rel);
     }
   }
 };
-
-/// Inline execution with the same semantics as the pool: every index runs
-/// even after a failure, and the lowest failing index's exception wins.
-void run_serial(std::size_t n, const std::function<void(std::size_t)>& fn) {
-  std::exception_ptr error;
-  for (std::size_t i = 0; i < n; ++i) {
-    try {
-      fn(i);
-    } catch (...) {
-      if (!error) error = std::current_exception();
-    }
-  }
-  if (error) std::rethrow_exception(error);
-}
 
 }  // namespace
-
-struct ThreadPool::Impl {
-  std::mutex m;
-  std::condition_variable cv_work;  ///< workers park here between batches
-  std::condition_variable cv_done;  ///< parallel_for caller parks here
-  bool stop = false;
-  std::uint64_t generation = 0;  ///< bumped per batch so workers join once
-  Batch* batch = nullptr;
-  std::size_t busy = 0;  ///< workers currently draining the batch
-  std::vector<std::thread> workers;
-
-  void worker_main(std::size_t self) {
-    std::uint64_t seen = 0;
-    std::unique_lock<std::mutex> lock(m);
-    for (;;) {
-      cv_work.wait(lock,
-                   [&] { return stop || (batch && generation != seen); });
-      if (stop) return;
-      seen = generation;
-      Batch* b = batch;
-      ++busy;
-      lock.unlock();
-      b->drain(self);
-      lock.lock();
-      --busy;
-      cv_done.notify_all();
-    }
-  }
-};
-
-ThreadPool::ThreadPool(std::size_t num_threads) : impl_(new Impl) {
-  if (num_threads == 0) num_threads = std::thread::hardware_concurrency();
-  num_threads_ = num_threads == 0 ? 1 : num_threads;
-  impl_->workers.reserve(num_threads_);
-  for (std::size_t t = 0; t < num_threads_; ++t)
-    impl_->workers.emplace_back([this, t] { impl_->worker_main(t); });
-}
-
-ThreadPool::~ThreadPool() {
-  {
-    std::lock_guard<std::mutex> g(impl_->m);
-    impl_->stop = true;
-  }
-  impl_->cv_work.notify_all();
-  for (auto& w : impl_->workers) w.join();
-  delete impl_;
-}
-
-void ThreadPool::parallel_for(std::size_t n,
-                              const std::function<void(std::size_t)>& fn) {
-  if (n == 0) return;
-  if (num_threads_ == 1 || n == 1) {
-    run_serial(n, fn);
-    return;
-  }
-
-  Batch b(num_threads_);
-  b.fn = &fn;
-  b.outstanding.store(n, std::memory_order_relaxed);
-  // Contiguous slices per worker: neighbouring grid tasks usually share a
-  // benchmark, so keeping them on one worker helps cache locality; load
-  // imbalance is what stealing is for.
-  const std::size_t chunk = (n + num_threads_ - 1) / num_threads_;
-  for (std::size_t t = 0, i = 0; t < num_threads_ && i < n; ++t)
-    for (std::size_t k = 0; k < chunk && i < n; ++k) b.queues[t].push_back(i++);
-
-  std::unique_lock<std::mutex> lock(impl_->m);
-  impl_->batch = &b;
-  ++impl_->generation;
-  impl_->cv_work.notify_all();
-  impl_->cv_done.wait(lock, [&] {
-    return b.outstanding.load(std::memory_order_acquire) == 0 &&
-           impl_->busy == 0;
-  });
-  impl_->batch = nullptr;
-  lock.unlock();
-
-  if (b.error) std::rethrow_exception(b.error);
-}
 
 std::size_t resolve_jobs(std::size_t jobs, std::size_t n) {
   if (jobs == 0) jobs = std::thread::hardware_concurrency();
@@ -176,13 +77,19 @@ std::size_t resolve_jobs(std::size_t jobs, std::size_t n) {
 
 void parallel_for(std::size_t jobs, std::size_t n,
                   const std::function<void(std::size_t)>& fn) {
+  if (n == 0) return;
   jobs = resolve_jobs(jobs, n);
-  if (jobs <= 1 || n <= 1) {
-    run_serial(n, fn);
-    return;
+  Batch b(jobs, n, fn);
+  {
+    // jthreads join on scope exit, so a failed spawn cannot leave a running
+    // helper behind.
+    std::vector<std::jthread> helpers;
+    helpers.reserve(jobs - 1);
+    for (std::size_t t = 1; t < jobs; ++t)
+      helpers.emplace_back([&b, t] { b.drain(t); });
+    b.drain(0);
   }
-  ThreadPool pool(jobs);
-  pool.parallel_for(n, fn);
+  if (b.error) std::rethrow_exception(b.error);
 }
 
 }  // namespace sm::util

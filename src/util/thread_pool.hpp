@@ -1,5 +1,5 @@
-// Work-stealing thread pool for the embarrassingly parallel sweeps
-// (sweep::run, the table benches, and any future sharded attack loop).
+// One-shot work-stealing parallel loop for the embarrassingly parallel
+// sweeps (sweep::run and the table benches).
 //
 // Determinism contract: parallel_for(jobs, n, fn) calls fn(i) exactly once
 // for every i in [0, n), with no ordering guarantee *between* indices but a
@@ -13,54 +13,25 @@
 // Scheduling: each worker owns a deque seeded with a contiguous slice of the
 // index range (cheap locality for neighbouring tasks) and pops from its
 // front; an idle worker steals from the back of a victim's deque. Our tasks
-// are whole place/route/attack pipelines — milliseconds to minutes each — so
-// mutex-guarded deques are well below the noise floor and keep the
-// implementation obviously correct.
+// are whole place/route/attack pipelines — milliseconds to minutes each —
+// so a thread spawn per call and mutex-guarded deques are well below the
+// noise floor and keep the implementation obviously correct.
 #pragma once
 
 #include <cstddef>
 #include <functional>
-#include <vector>
 
 namespace sm::util {
-
-/// A persistent pool of worker threads executing indexed task batches.
-class ThreadPool {
- public:
-  /// `num_threads` == 0 picks std::thread::hardware_concurrency().
-  explicit ThreadPool(std::size_t num_threads = 0);
-  ~ThreadPool();
-
-  ThreadPool(const ThreadPool&) = delete;
-  ThreadPool& operator=(const ThreadPool&) = delete;
-
-  /// Number of worker threads (>= 1).
-  std::size_t size() const noexcept { return num_threads_; }
-
-  /// Run fn(i) for every i in [0, n); blocks until all tasks finished.
-  /// If any task throws, every remaining task still runs, then the exception
-  /// of the *lowest* failing index is rethrown (deterministic choice).
-  void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
-
- private:
-  struct Impl;
-  Impl* impl_;
-  std::size_t num_threads_ = 1;
-};
 
 /// The worker count parallel_for(jobs, n, fn) will actually use: 0 resolves
 /// to hardware concurrency, then clamps to [1, max(n, 1)].
 std::size_t resolve_jobs(std::size_t jobs, std::size_t n);
 
-/// One-shot convenience: run fn(i) for i in [0, n) over resolve_jobs(jobs, n)
-/// threads. A resolved count of 1 (or n <= 1) runs inline on the calling
-/// thread with identical semantics, including the lowest-index exception
-/// rule.
-///
-/// Spawns and joins a fresh pool per call — fine for the once-per-run
-/// batches the sweep and benches issue, wrong for hot inner loops. Code
-/// that batches repeatedly (e.g. sharding an attack's candidate loop per
-/// the ROADMAP) must hold a ThreadPool and call its parallel_for instead.
+/// Run fn(i) for every i in [0, n) over resolve_jobs(jobs, n) threads, the
+/// calling thread among them; blocks until all tasks finished. A resolved
+/// count of 1 runs every index on the calling thread, in index order. If
+/// any task throws, every remaining task still runs, then the exception of
+/// the *lowest* failing index is rethrown (deterministic choice).
 void parallel_for(std::size_t jobs, std::size_t n,
                   const std::function<void(std::size_t)>& fn);
 

@@ -359,25 +359,6 @@ TEST(AttackUnits, SpatialIndexMatchesBruteForceWithAllHints) {
       same_result(run(std::numeric_limits<int>::max()), run(0)));
 }
 
-TEST(AttackUnits, JobsDoNotChangeResults) {
-  // ISSUE-4 acceptance: N-job attack bit-identical to 1 job, with the
-  // spatial index active (threshold 0) and inactive.
-  RandomRig rig(90, 120, 21);
-  attack::ProximityOptions opts;
-  opts.eval_patterns = 9000;  // spans multiple sim blocks
-  opts.candidates_per_sink = 8;
-  for (const int threshold : {0, std::numeric_limits<int>::max()}) {
-    opts.index_min_drivers = threshold;
-    opts.jobs = 1;
-    const auto serial =
-        attack::proximity_attack(rig.nl, rig.nl, rig.pl, rig.view, nullptr, opts);
-    opts.jobs = 4;
-    const auto parallel =
-        attack::proximity_attack(rig.nl, rig.nl, rig.pl, rig.view, nullptr, opts);
-    EXPECT_TRUE(same_result(serial, parallel)) << "threshold " << threshold;
-  }
-}
-
 TEST(AttackUnits, EmptyViewIsPerfectScore) {
   Rig rig;
   SplitView empty;

@@ -175,43 +175,6 @@ TEST_F(SimTest, ToggleRatesBounded) {
   EXPECT_GT(max_act, 0.3);  // PIs toggle near 0.5
 }
 
-TEST_F(SimTest, CompareJobsBitIdentical) {
-  // XOR vs AND agree only on a stream-dependent subset of patterns, so this
-  // actually exercises the per-block task_seed streams: any leak of the
-  // worker count into the stimuli would move OER/HD.
-  CellLibrary l;
-  auto build = [&](const char* type) {
-    Netlist nl(l, type);
-    const NetId i0 = nl.add_primary_input("i0");
-    const NetId i1 = nl.add_primary_input("i1");
-    const CellId g = nl.add_cell("g", l.id_of(type));
-    nl.connect_input(g, 0, i0);
-    nl.connect_input(g, 1, i1);
-    nl.add_primary_output("y", nl.cell(g).output);
-    return nl;
-  };
-  const auto a = build("XOR2_X1");
-  const auto b = build("AND2_X1");
-  // 9000 patterns spans two full 4096-pattern blocks plus a partial one.
-  const auto r1 = sm::sim::compare(a, b, 9000, 7, 1);
-  const auto r4 = sm::sim::compare(a, b, 9000, 7, 4);
-  EXPECT_EQ(r1.patterns, 9000u);
-  EXPECT_EQ(r1.patterns, r4.patterns);
-  EXPECT_EQ(r1.oer, r4.oer);  // bitwise: the contract is identity, not NEAR
-  EXPECT_EQ(r1.hd, r4.hd);
-  EXPECT_GT(r1.oer, 0.0);  // the rig is genuinely stream-sensitive
-  EXPECT_LT(r1.oer, 1.0);
-}
-
-TEST_F(SimTest, ToggleRatesJobsBitIdentical) {
-  CellLibrary l;
-  const auto nl = sm::workloads::generate(l, sm::workloads::iscas85_profile("c880"), 2);
-  const auto act1 = sm::sim::toggle_rates(nl, 20000, 5, 1);
-  const auto act4 = sm::sim::toggle_rates(nl, 20000, 5, 4);
-  ASSERT_EQ(act1.size(), act4.size());
-  for (std::size_t n = 0; n < act1.size(); ++n) EXPECT_EQ(act1[n], act4[n]);
-}
-
 TEST_F(SimTest, EvalLanesMatchesScalarEval) {
   // eval_lanes<W> on a structure-of-arrays stimulus must reproduce W
   // independent scalar eval() calls word for word — the lane loop changes
@@ -241,9 +204,10 @@ TEST_F(SimTest, EvalLanesMatchesScalarEval) {
 TEST_F(SimTest, CompareLanesBitIdentical) {
   // The ISSUE-10 lane contract: every lane width draws the same per-block
   // task_seed stream in the same word-major order, so OER/HD are bitwise
-  // equal for lanes 1, 4, and 8 — across worker counts, including a
-  // partial tail block whose word count is not a lane multiple (9000
-  // patterns = 141 words = 2 full blocks + 13 tail words).
+  // equal for lanes 1, 4, and 8 — including a partial tail block whose
+  // word count is not a lane multiple (9000 patterns = 141 words = 2 full
+  // blocks + 13 tail words). XOR vs AND agree only on a stream-dependent
+  // subset of patterns, so any drift in the stimuli would move OER/HD.
   CellLibrary l;
   auto build = [&](const char* type) {
     Netlist nl(l, type);
@@ -257,18 +221,18 @@ TEST_F(SimTest, CompareLanesBitIdentical) {
   };
   const auto a = build("XOR2_X1");
   const auto b = build("AND2_X1");
-  const auto ref = sm::sim::compare(a, b, 9000, 7, 1, 1);
+  const auto ref = sm::sim::compare(a, b, 9000, 7, 1);
+  EXPECT_EQ(ref.patterns, 9000u);
   EXPECT_GT(ref.oer, 0.0);  // genuinely stream-sensitive rig
   EXPECT_LT(ref.oer, 1.0);
-  for (const std::size_t lanes : {4ul, 8ul})
-    for (const std::size_t jobs : {1ul, 3ul}) {
-      const auto r = sm::sim::compare(a, b, 9000, 7, jobs, lanes);
-      EXPECT_EQ(r.patterns, ref.patterns) << lanes << "x" << jobs;
-      EXPECT_EQ(r.oer, ref.oer) << lanes << "x" << jobs;
-      EXPECT_EQ(r.hd, ref.hd) << lanes << "x" << jobs;
-    }
+  for (const std::size_t lanes : {4ul, 8ul}) {
+    const auto r = sm::sim::compare(a, b, 9000, 7, lanes);
+    EXPECT_EQ(r.patterns, ref.patterns) << "lanes " << lanes;
+    EXPECT_EQ(r.oer, ref.oer) << "lanes " << lanes;  // bitwise, not NEAR
+    EXPECT_EQ(r.hd, ref.hd) << "lanes " << lanes;
+  }
   // The default width (lanes = 0) is one of the identical widths.
-  const auto rd = sm::sim::compare(a, b, 9000, 7, 1, 0);
+  const auto rd = sm::sim::compare(a, b, 9000, 7, 0);
   EXPECT_EQ(rd.oer, ref.oer);
   EXPECT_EQ(rd.hd, ref.hd);
 }
@@ -277,9 +241,9 @@ TEST_F(SimTest, ToggleRatesLanesBitIdentical) {
   CellLibrary l;
   const auto nl = sm::workloads::generate(
       l, sm::workloads::iscas85_profile("c880"), 2);
-  const auto ref = sm::sim::toggle_rates(nl, 20000, 5, 1, 1);
+  const auto ref = sm::sim::toggle_rates(nl, 20000, 5, 1);
   for (const std::size_t lanes : {4ul, 8ul}) {
-    const auto r = sm::sim::toggle_rates(nl, 20000, 5, 2, lanes);
+    const auto r = sm::sim::toggle_rates(nl, 20000, 5, lanes);
     ASSERT_EQ(r.size(), ref.size());
     for (std::size_t n = 0; n < r.size(); ++n)
       ASSERT_EQ(r[n], ref[n]) << "lanes " << lanes << " net " << n;
@@ -290,8 +254,8 @@ TEST_F(SimTest, LaneWidthValidated) {
   CellLibrary l;
   const auto nl = sm::workloads::generate(
       l, sm::workloads::iscas85_profile("c432"), 5);
-  EXPECT_THROW(sm::sim::compare(nl, nl, 64, 0, 1, 3), std::invalid_argument);
-  EXPECT_THROW(sm::sim::toggle_rates(nl, 64, 0, 1, 16),
+  EXPECT_THROW(sm::sim::compare(nl, nl, 64, 0, 3), std::invalid_argument);
+  EXPECT_THROW(sm::sim::toggle_rates(nl, 64, 0, 16),
                std::invalid_argument);
 }
 

@@ -1,7 +1,7 @@
-// Unit tests for util::ThreadPool / util::parallel_for — the exactly-once
-// contract, pool reuse, exception propagation (lowest failing index wins,
-// remaining tasks still run), and thread-count-independent results via
-// util::task_seed.
+// Unit tests for util::parallel_for — the exactly-once contract, exception
+// propagation (lowest failing index wins, remaining tasks still run), the
+// single-job path staying on the calling thread, and thread-count-independent
+// results via util::task_seed.
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -9,45 +9,29 @@
 
 #include <atomic>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 namespace {
 
 using namespace sm::util;
 
-TEST(ThreadPool, RunsEveryIndexExactlyOnce) {
+TEST(ParallelFor, RunsEveryIndexExactlyOnce) {
   constexpr std::size_t kN = 1000;
   std::vector<std::atomic<int>> counts(kN);
-  ThreadPool pool(4);
-  EXPECT_EQ(pool.size(), 4u);
-  pool.parallel_for(kN, [&](std::size_t i) { counts[i].fetch_add(1); });
+  parallel_for(4, kN, [&](std::size_t i) { counts[i].fetch_add(1); });
   for (std::size_t i = 0; i < kN; ++i) EXPECT_EQ(counts[i].load(), 1);
 }
 
-TEST(ThreadPool, ReusableAcrossBatches) {
-  ThreadPool pool(3);
-  std::atomic<int> total{0};
-  for (int batch = 0; batch < 5; ++batch)
-    pool.parallel_for(100, [&](std::size_t) { total.fetch_add(1); });
-  EXPECT_EQ(total.load(), 500);
+TEST(ParallelFor, ZeroTasksIsANoop) {
+  parallel_for(4, 0, [&](std::size_t) { FAIL() << "must not run"; });
 }
 
-TEST(ThreadPool, ZeroTasksIsANoop) {
-  ThreadPool pool(2);
-  pool.parallel_for(0, [&](std::size_t) { FAIL() << "must not run"; });
-}
-
-TEST(ThreadPool, ZeroThreadsMeansHardwareConcurrency) {
-  ThreadPool pool(0);
-  EXPECT_GE(pool.size(), 1u);
-}
-
-TEST(ThreadPool, LowestFailingIndexWinsAndEveryTaskStillRuns) {
+TEST(ParallelFor, LowestFailingIndexWinsAndEveryTaskStillRuns) {
   constexpr std::size_t kN = 600;
   std::vector<std::atomic<int>> counts(kN);
-  ThreadPool pool(4);
   try {
-    pool.parallel_for(kN, [&](std::size_t i) {
+    parallel_for(4, kN, [&](std::size_t i) {
       counts[i].fetch_add(1);
       if (i == 3 || i == 7 || i == 500)
         throw std::runtime_error(std::to_string(i));
@@ -57,6 +41,14 @@ TEST(ThreadPool, LowestFailingIndexWinsAndEveryTaskStillRuns) {
     EXPECT_STREQ(e.what(), "3");
   }
   for (std::size_t i = 0; i < kN; ++i) EXPECT_EQ(counts[i].load(), 1);
+}
+
+TEST(ParallelFor, SingleJobRunsOnTheCallingThread) {
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::thread::id> ran_on(50);
+  parallel_for(1, ran_on.size(),
+               [&](std::size_t i) { ran_on[i] = std::this_thread::get_id(); });
+  for (const auto& id : ran_on) EXPECT_EQ(id, caller);
 }
 
 TEST(ParallelFor, SerialPathKeepsTheSameExceptionRule) {
