@@ -17,13 +17,14 @@ int main(int argc, char** argv) {
   netlist::CellLibrary lib{6};
   const auto nl =
       workloads::generate(lib, workloads::iscas85_profile(name), suite.seed);
-  auto flow = bench::iscas_flow(suite.seed);
+  auto flow = sweep::task_flow(name, sweep::Workload::Iscas85, suite.seed,
+                               suite.scale);
   flow.buffering = true;
   flow.buffering_opts.hpwl_threshold_um = 15.0;
 
   const auto original = core::layout_original(nl, flow);
   const auto design =
-      core::protect(nl, bench::default_randomize(suite.seed), flow);
+      core::protect(nl, sweep::task_randomize(suite.seed), flow);
 
   util::Table table(
       {"Layout", "Strength prior", "Split", "CCR", "OER", "HD"});

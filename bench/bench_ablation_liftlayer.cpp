@@ -21,11 +21,12 @@ int main(int argc, char** argv) {
     netlist::CellLibrary lib{lift};
     const auto nl =
         workloads::generate(lib, workloads::iscas85_profile(name), suite.seed);
-    auto flow = bench::iscas_flow(suite.seed);
+    auto flow = sweep::task_flow(name, sweep::Workload::Iscas85, suite.seed,
+                                 suite.scale);
     flow.lift_layer = lift;
     const auto original = core::layout_original(nl, flow);
     const auto design =
-        core::protect(nl, bench::default_randomize(suite.seed), flow);
+        core::protect(nl, sweep::task_randomize(suite.seed), flow);
 
     const int split = lift - 1;  // split just below the correction pins
     const auto view = core::split_layout(

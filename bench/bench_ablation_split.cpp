@@ -23,7 +23,9 @@
 
 int main(int argc, char** argv) {
   using namespace sm;
-  const auto suite = bench::parse_suite(argc, argv);
+  const auto suite = bench::parse_suite(
+      argc, argv,
+      {"jobs", "splits", "defenses", "attackers", "store", "resume"});
   util::Args args(argc, argv);
   bench::print_header("Ablation: split layer vs attack outcome");
 

@@ -15,7 +15,8 @@ int main(int argc, char** argv) {
   netlist::CellLibrary lib{6};
   const auto nl =
       workloads::generate(lib, workloads::iscas85_profile(name), suite.seed);
-  const auto flow = bench::iscas_flow(suite.seed);
+  const auto flow = sweep::task_flow(name, sweep::Workload::Iscas85,
+                                     suite.seed, suite.scale);
   const auto original = core::layout_original(nl, flow);
 
   util::Table table({"Swaps", "Err OER", "Err HD", "Attack CCR(prot)",
@@ -59,7 +60,7 @@ int main(int argc, char** argv) {
 
   // The OER-driven stopping rule (the paper's criterion) for reference.
   const auto design =
-      core::protect(nl, bench::default_randomize(suite.seed), flow);
+      core::protect(nl, sweep::task_randomize(suite.seed), flow);
   std::printf("\nOER-driven stop: %zu swaps -> OER %.1f%%, HD %.1f%%\n",
               design.ledger.entries.size(), 100 * design.oer,
               100 * design.hd);

@@ -15,10 +15,11 @@ int main(int argc, char** argv) {
   const auto spec = workloads::superblue_profile(name, suite.scale);
   netlist::CellLibrary lib{8};
   const auto nl = workloads::generate(lib, spec, suite.seed);
-  const auto flow = bench::superblue_flow(suite.seed, spec);
+  const auto flow = sweep::task_flow(name, sweep::Workload::Superblue,
+                                     suite.seed, suite.scale);
 
   const auto design =
-      core::protect(nl, bench::default_randomize(suite.seed), flow);
+      core::protect(nl, sweep::task_randomize(suite.seed), flow);
   const auto nets = design.ledger.protected_nets();
   const auto original = core::layout_original(nl, flow);
   const auto lifted = core::layout_naive_lift(nl, nets, flow);

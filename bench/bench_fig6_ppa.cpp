@@ -24,18 +24,22 @@ int main(int argc, char** argv) {
     netlist::CellLibrary lib{6};
     const auto nl =
         workloads::generate(lib, workloads::iscas85_profile(name), suite.seed);
-    const auto flow = bench::iscas_flow(suite.seed);
+    const auto flow = sweep::task_flow(name, sweep::Workload::Iscas85,
+                                       suite.seed, suite.scale);
 
-    const auto original = core::layout_original(nl, flow);
-    core::RandomizeOptions r = bench::default_randomize(suite.seed);
+    const auto placed = core::place_design(nl, flow);
+    const auto original = core::route_design(nl, placed, flow);
+    core::RandomizeOptions r = sweep::task_randomize(suite.seed);
     r.max_swaps = std::max<std::size_t>(4, nl.num_gates() / 40);
     const auto design =
         core::protect_with_budget(nl, r, flow, original.ppa, 20.0, 3);
 
     const auto rand8 = core::layout_placement_perturbed(
-        nl, flow, core::PerturbStrategy::Random, 0.25, suite.seed, 0.2);
+        nl, flow, placed, core::PerturbStrategy::Random, 0.25, suite.seed,
+        0.2);
     const auto gt1 = core::layout_placement_perturbed(
-        nl, flow, core::PerturbStrategy::GType1, 0.25, suite.seed, 0.2);
+        nl, flow, placed, core::PerturbStrategy::GType1, 0.25, suite.seed,
+        0.2);
 
     const double d_area = util::pct_delta(original.ppa.die_area_um2,
                                           design.layout.ppa.die_area_um2);

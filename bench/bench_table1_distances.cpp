@@ -9,10 +9,11 @@
 // across the three layouts (as in the paper's fair-comparison setup).
 #include "common.hpp"
 #include "metrics/report.hpp"
+#include "util/thread_pool.hpp"
 
 int main(int argc, char** argv) {
   using namespace sm;
-  const auto suite = bench::parse_suite(argc, argv);
+  const auto suite = bench::parse_suite(argc, argv, {"jobs"});
   bench::print_header("Table 1: distances between connected gates (um)");
 
   const auto names = bench::pick(workloads::superblue_names(), suite);
@@ -23,15 +24,15 @@ int main(int argc, char** argv) {
   };
   std::vector<PerBench> results(names.size());
 
-  bench::for_each_benchmark(names, suite, [&](std::size_t i) {
+  util::parallel_for(suite.jobs, names.size(), [&](std::size_t i) {
     const auto spec = workloads::superblue_profile(names[i], suite.scale);
     netlist::CellLibrary lib{8};
     const auto nl = workloads::generate(lib, spec, suite.seed);
-    const auto flow =
-        bench::apply_layout_flags(bench::superblue_flow(suite.seed, spec), suite);
+    const auto flow = sweep::task_flow(names[i], sweep::Workload::Superblue,
+                                       suite.seed, suite.scale);
 
     const auto design =
-        core::protect(nl, bench::default_randomize(suite.seed), flow);
+        core::protect(nl, sweep::task_randomize(suite.seed), flow);
     const auto nets = design.ledger.protected_nets();
 
     const auto original = core::layout_original(nl, flow);

@@ -10,124 +10,79 @@
 // Expected shape: Original highly attackable (high CCR, low HD); placement
 // perturbation helps marginally; the proposed scheme reaches 0% CCR with
 // OER ~100% and HD ~40%.
-#include "attack/proximity.hpp"
+//
+// The bench is a front-end over the sweep grid (benchmarks × splits 3-5 ×
+// the seven defenses above × the proximity attacker): every column is a
+// per-(benchmark, defense) sweep::Mean, so the table is bit-identical for
+// any --jobs, and a split with no open sink is left out of the means.
 #include "common.hpp"
 
-namespace {
-
-struct Score {
-  double ccr = 0, oer = 0, hd = 0;
-};
-
-using namespace sm;
-
-Score attack_avg(const netlist::Netlist& feol, const netlist::Netlist& truth,
-                 const core::LayoutResult& layout,
-                 const core::SwapLedger* ledger, std::size_t patterns,
-                 bool protected_ccr) {
-  Score s;
-  attack::ProximityOptions opts;
-  opts.eval_patterns = patterns;
-  for (const int split : {3, 4, 5}) {
-    const auto view =
-        core::split_layout(feol, layout.placement, layout.routing,
-                           layout.tasks, layout.num_net_tasks, split);
-    const auto res = attack::proximity_attack(feol, truth, layout.placement,
-                                              view, ledger, opts);
-    s.ccr += protected_ccr ? res.ccr_protected() : res.ccr();
-    s.oer += res.rates.oer;
-    s.hd += res.rates.hd;
-  }
-  s.ccr /= 3;
-  s.oer /= 3;
-  s.hd /= 3;
-  return s;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
-  const auto suite = bench::parse_suite(argc, argv);
+  using namespace sm;
+  using sweep::Defense;
+  const auto suite = bench::parse_suite(argc, argv, {"jobs"});
   bench::print_header(
       "Table 4: proximity attack vs placement-perturbation defenses "
       "(ISCAS-85, averaged over splits M3/M4/M5)");
 
-  const auto names = bench::pick(workloads::iscas85_names(), suite);
-  struct PerBench {
-    Score so, sp, sprop;
-    double s_rand = 0, s_col = 0, s_t1 = 0, s_t2 = 0;
-  };
-  std::vector<PerBench> results(names.size());
-
-  bench::for_each_benchmark(names, suite, [&](std::size_t i) {
-    netlist::CellLibrary lib{6};
-    const auto nl = workloads::generate(
-        lib, workloads::iscas85_profile(names[i]), suite.seed);
-    const auto flow =
-        bench::apply_layout_flags(bench::iscas_flow(suite.seed), suite);
-    PerBench& r = results[i];
-
-    const auto original = core::layout_original(nl, flow);
-    r.so = attack_avg(nl, nl, original, nullptr, suite.patterns, false);
-
-    // [5]: selective, small perturbation (the paper reports only a marginal
-    // improvement over unprotected layouts).
-    const auto perturbed = core::layout_placement_perturbed(
-        nl, flow, core::PerturbStrategy::Random, 0.05, suite.seed, 0.1);
-    r.sp = attack_avg(nl, nl, perturbed, nullptr, suite.patterns, false);
-
-    auto strategy_ccr = [&](core::PerturbStrategy st) {
-      const auto lay = core::layout_placement_perturbed(nl, flow, st, 0.25,
-                                                        suite.seed, 0.2);
-      return attack_avg(nl, nl, lay, nullptr, suite.patterns / 4, false).ccr;
-    };
-    r.s_rand = strategy_ccr(core::PerturbStrategy::Random);
-    r.s_col = strategy_ccr(core::PerturbStrategy::GColor);
-    r.s_t1 = strategy_ccr(core::PerturbStrategy::GType1);
-    r.s_t2 = strategy_ccr(core::PerturbStrategy::GType2);
-
-    const auto design =
-        core::protect(nl, bench::default_randomize(suite.seed), flow);
-    r.sprop = attack_avg(design.erroneous, nl, design.layout, &design.ledger,
-                         suite.patterns, true);
-  });
+  sweep::Grid grid;
+  grid.benchmarks = bench::pick(workloads::iscas85_names(), suite);
+  grid.seeds = {suite.seed};
+  grid.split_layers = {3, 4, 5};
+  grid.defenses = {Defense::Unprotected, Defense::PlacePerturb,
+                   Defense::Random,      Defense::GColor,
+                   Defense::GType1,      Defense::GType2,
+                   Defense::Proposed};
+  grid.scale = suite.scale;
+  sweep::Options opts;
+  opts.jobs = suite.jobs;
+  opts.patterns = suite.patterns;
+  const auto means = sweep::run(grid, opts).means();
 
   util::Table table({"Benchmark", "Orig CCR", "Orig OER", "Orig HD",
                      "Perturb[5] CCR", "Perturb[5] HD", "Random[8] CCR",
                      "G-Color[8] CCR", "G-Type1[8] CCR", "G-Type2[8] CCR",
                      "Prop CCR", "Prop OER", "Prop HD"});
-  Score avg_orig, avg_prop;
-  int count = 0;
-  for (std::size_t i = 0; i < names.size(); ++i) {
-    const PerBench& r = results[i];
-    table.add_row({names[i], util::Table::pct(100 * r.so.ccr, 1),
-                   util::Table::pct(100 * r.so.oer, 1),
-                   util::Table::pct(100 * r.so.hd, 1),
-                   util::Table::pct(100 * r.sp.ccr, 1),
-                   util::Table::pct(100 * r.sp.hd, 1),
-                   util::Table::pct(100 * r.s_rand, 1),
-                   util::Table::pct(100 * r.s_col, 1),
-                   util::Table::pct(100 * r.s_t1, 1),
-                   util::Table::pct(100 * r.s_t2, 1),
-                   util::Table::pct(100 * r.sprop.ccr, 1),
-                   util::Table::pct(100 * r.sprop.oer, 1),
-                   util::Table::pct(100 * r.sprop.hd, 1)});
-    avg_orig.ccr += r.so.ccr;
-    avg_orig.oer += r.so.oer;
-    avg_orig.hd += r.so.hd;
-    avg_prop.ccr += r.sprop.ccr;
-    avg_prop.oer += r.sprop.oer;
-    avg_prop.hd += r.sprop.hd;
-    ++count;
+  // Benchmark averages of the Original and Proposed columns; `cells`
+  // counts the benchmarks whose mean is not n/a.
+  sweep::Mean avg_orig, avg_prop;
+  const auto add = [](sweep::Mean& avg, const sweep::Mean& m, double ccr) {
+    if (!m.cells) return;
+    avg.ccr += ccr;
+    avg.oer += m.oer;
+    avg.hd += m.hd;
+    ++avg.cells;
+  };
+  for (const auto& name : grid.benchmarks) {
+    const auto mean = [&](Defense d) -> const sweep::Mean& {
+      return means.at({name, d, sweep::Attacker::Proximity});
+    };
+    const auto ccr = [&](Defense d) { return mean(d).pct(mean(d).ccr); };
+    const auto& orig = mean(Defense::Unprotected);
+    const auto& pert = mean(Defense::PlacePerturb);
+    const auto& prop = mean(Defense::Proposed);
+    table.add_row({name, orig.pct(orig.ccr), orig.pct(orig.oer),
+                   orig.pct(orig.hd), pert.pct(pert.ccr), pert.pct(pert.hd),
+                   ccr(Defense::Random), ccr(Defense::GColor),
+                   ccr(Defense::GType1), ccr(Defense::GType2),
+                   prop.pct(prop.ccr_protected), prop.pct(prop.oer),
+                   prop.pct(prop.hd)});
+    add(avg_orig, orig, orig.ccr);
+    add(avg_prop, prop, prop.ccr_protected);
   }
-  if (count > 0) {
+  if (!grid.benchmarks.empty()) {
+    for (sweep::Mean* avg : {&avg_orig, &avg_prop}) {
+      if (!avg->cells) continue;
+      const double n = static_cast<double>(avg->cells);
+      avg->ccr /= n;
+      avg->oer /= n;
+      avg->hd /= n;
+    }
     table.add_separator();
-    table.add_row({"Average", util::Table::pct(100 * avg_orig.ccr / count, 1),
-                   util::Table::pct(100 * avg_orig.oer / count, 1),
-                   util::Table::pct(100 * avg_orig.hd / count, 1), "", "", "",
-                   "", "", "", util::Table::pct(100 * avg_prop.ccr / count, 1),
-                   util::Table::pct(100 * avg_prop.oer / count, 1),
-                   util::Table::pct(100 * avg_prop.hd / count, 1)});
+    table.add_row({"Average", avg_orig.pct(avg_orig.ccr),
+                   avg_orig.pct(avg_orig.oer), avg_orig.pct(avg_orig.hd), "",
+                   "", "", "", "", "", avg_prop.pct(avg_prop.ccr),
+                   avg_prop.pct(avg_prop.oer), avg_prop.pct(avg_prop.hd)});
   }
   std::fputs(table.render().c_str(), stdout);
   return 0;

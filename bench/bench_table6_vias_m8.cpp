@@ -26,17 +26,19 @@ int main(int argc, char** argv) {
     const auto spec = workloads::superblue_profile(name, suite.scale);
     netlist::CellLibrary lib{8};
     const auto nl = workloads::generate(lib, spec, suite.seed);
-    const auto flow = bench::superblue_flow(suite.seed, spec);
+    const auto flow = sweep::task_flow(name, sweep::Workload::Superblue,
+                                       suite.seed, suite.scale);
 
-    const auto original = core::layout_original(nl, flow);
+    const auto placed = core::place_design(nl, flow);
+    const auto original = core::route_design(nl, placed, flow);
     // [7]: a handful of mid-stack blockages (the defense perturbs routing
     // implicitly and conservatively; the paper reports roughly half the via
     // increase of the proposed scheme).
     const auto blocked = core::layout_routing_blockage(
-        nl, flow, 5, original.placement.floorplan.die.width() / 14.0, 5,
+        nl, flow, placed, 5, placed.placement.floorplan.die.width() / 14.0, 5,
         suite.seed);
     const auto design =
-        core::protect(nl, bench::default_randomize(suite.seed), flow);
+        core::protect(nl, sweep::task_randomize(suite.seed), flow);
 
     const auto db = metrics::via_delta(original.routing.stats,
                                        blocked.routing.stats);

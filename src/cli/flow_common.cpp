@@ -1,6 +1,7 @@
 #include "cli/flow_common.hpp"
 
-#include <algorithm>
+#include "sweep/sweep.hpp"
+
 #include <fstream>
 #include <iostream>
 #include <stdexcept>
@@ -14,40 +15,19 @@ FlowSetup parse_setup(const util::Args& args) {
   s.seed = args.get_count("seed", 1);
   s.split_layer = static_cast<int>(args.get_int("split-layer", s.split_layer));
   s.patterns = parse_patterns(args, s.patterns);
-  s.target_oer = args.get_double("target-oer", s.target_oer);
 
-  const auto& sb = workloads::superblue_names();
-  const auto& synth = workloads::synthetic_names();
-  const bool is_sb = std::find(sb.begin(), sb.end(), s.bench) != sb.end();
-  const bool is_synth =
-      std::find(synth.begin(), synth.end(), s.bench) != synth.end();
-  // Synthetic ladder benches take the superblue tuning: both are large flat
-  // designs routed with M8 pins and a derated utilization.
-  s.superblue = is_sb || is_synth;
-  s.spec = is_sb      ? workloads::superblue_profile(s.bench, s.scale)
-           : is_synth ? workloads::synthetic_profile(s.bench, s.scale)
-                      : workloads::iscas85_profile(s.bench);
-
-  // Same flow tuning the benches use (bench/common.hpp): M6 pins for ISCAS,
-  // M8 for superblue, utilization derated for a congestion-free router.
-  s.flow.seed = s.seed;
-  s.flow.placer.seed = s.seed;
-  if (s.superblue) {
-    s.flow.lift_layer = 8;
-    s.flow.placer.target_utilization = s.spec.utilization * 0.5;
-    s.flow.placer.detailed_passes = 1;
-  } else {
-    s.flow.lift_layer = 6;
-    s.flow.placer.target_utilization = 0.45;
-    s.flow.placer.detailed_passes = 2;
-  }
+  // The sweep's flow recipe, with this run's flags on top.
+  const sweep::Workload workload = sweep::workload_of(s.bench);
+  s.spec = sweep::task_spec(s.bench, workload, s.scale);
+  s.flow = sweep::task_flow(s.bench, workload, s.seed, s.scale);
   s.flow.lift_layer =
       static_cast<int>(args.get_int("lift-layer", s.flow.lift_layer));
   s.flow.buffering = args.get_bool("buffering", false);
 
   // Layout-engine knobs, strictly validated like the sweep's numeric flags
   // (get_count throws on anything but plain digits).
-  const std::size_t route_passes = args.get_count("route-passes", 3);
+  const std::size_t route_passes = args.get_count(
+      "route-passes", static_cast<std::size_t>(s.flow.router.passes));
   if (route_passes == 0)
     throw std::invalid_argument("--route-passes must be >= 1");
   s.flow.router.passes = static_cast<int>(route_passes);
@@ -55,9 +35,9 @@ FlowSetup parse_setup(const util::Args& args) {
     s.flow.placer.detailed_passes =
         static_cast<int>(args.get_count("detailed-passes", 0));
 
-  s.rand_opts.seed = s.seed;
-  s.rand_opts.target_oer = s.target_oer;
-  s.rand_opts.check_patterns = 4096;
+  s.rand_opts = sweep::task_randomize(s.seed);
+  s.rand_opts.target_oer =
+      args.get_double("target-oer", s.rand_opts.target_oer);
   return s;
 }
 

@@ -18,12 +18,10 @@ namespace sm::cli {
 /// Options every subcommand understands (parsed from util::Args).
 struct FlowSetup {
   std::string bench = "c880";
-  bool superblue = false;     ///< bench is a superblue profile
   double scale = 0.02;        ///< superblue clone scale
   std::uint64_t seed = 1;
   int split_layer = 4;
   std::size_t patterns = 100000;  ///< simulation patterns for OER/HD
-  double target_oer = 0.995;
   workloads::GenSpec spec;
   core::FlowOptions flow;
   core::RandomizeOptions rand_opts;

@@ -74,8 +74,8 @@ int usage(std::FILE* to) {
       "            (0 = hardware)\n"
       "            [--grid=SPEC] [--benchmarks=a,b] [--seeds=1,2]\n"
       "            [--splits=3,4,5] [--defenses=unprotected,proposed,\n"
-      "              place-perturb,g-color,g-type1,g-type2,pin-swap,\n"
-      "              route-perturb,route-blockage]\n"
+      "              place-perturb,random,g-color,g-type1,g-type2,\n"
+      "              pin-swap,route-perturb,route-blockage]\n"
       "            [--attackers=proximity,crouting,sat] attacker axis:\n"
       "            network-flow proximity, crouting (concerted-routing\n"
       "            candidate lists), sat (proximity + SAT/sim equivalence\n"
@@ -358,7 +358,8 @@ std::pair<std::size_t, std::size_t> parse_shard(const std::string& spec) {
 void print_result_tables(const util::Args& args, const sweep::Result& result) {
   if (!args.has("summary-only"))
     std::fputs(result.table().render().c_str(), stdout);
-  std::printf("\nmean over seeds and split layers:\n");
+  std::printf("\nmean over seeds and split layers (cells with no open sink "
+              "left out):\n");
   std::fputs(result.summary().render().c_str(), stdout);
 }
 

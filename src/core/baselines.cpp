@@ -1,6 +1,5 @@
 #include "core/baselines.hpp"
 
-#include "sim/simulator.hpp"
 #include "util/rng.hpp"
 
 #include <algorithm>
@@ -15,42 +14,18 @@ using netlist::Netlist;
 
 namespace {
 
-timing::PpaReport quick_ppa(const Netlist& nl, const LayoutResult& layout,
-                            const FlowOptions& opts) {
-  timing::Sta sta(opts.op);
-  const auto activity =
-      sim::toggle_rates(nl, opts.activity_patterns, opts.seed ^ 0xac7ULL);
-  return sta.analyze(nl, layout.placement, layout.routing, activity);
-}
-
 void route_layout(const Netlist& nl, LayoutResult& layout,
                   const FlowOptions& opts,
                   const std::vector<int>& min_layer = {}) {
   layout.tasks = route::make_tasks(nl, layout.placement, min_layer);
   layout.num_net_tasks = layout.tasks.size();
-  route::RouterOptions ropts = opts.router;
-  ropts.gcell_um = tuned_gcell_um(opts, layout.placement.floorplan);
-  route::Router router(ropts);
+  route::Router router(tuned_router(opts, layout.placement.floorplan));
   layout.routing = router.route(layout.tasks, layout.placement.floorplan.die,
                                 nl.library().metal());
-  layout.ppa = quick_ppa(nl, layout, opts);
+  layout.ppa = evaluate_ppa(nl, layout, opts);
 }
 
 }  // namespace
-
-LayoutResult layout_placement_perturbed(const Netlist& nl,
-                                        const FlowOptions& opts,
-                                        PerturbStrategy strategy,
-                                        double fraction, std::uint64_t seed,
-                                        double radius_frac) {
-  // Self-placing entry point: place directly (no buffering stage), exactly
-  // as before the PlacedDesign overload existed.
-  place::Placer placer(opts.placer);
-  PlacedDesign placed;
-  placed.placement = placer.place(nl);
-  return layout_placement_perturbed(nl, opts, placed, strategy, fraction, seed,
-                                    radius_frac);
-}
 
 LayoutResult layout_placement_perturbed(const Netlist& nl,
                                         const FlowOptions& opts,
@@ -122,20 +97,9 @@ SwappedLayout layout_pin_swapped(const Netlist& nl, const FlowOptions& opts,
   RandomizeResult rr = randomize(nl, ropts);
   out.erroneous = std::move(rr.erroneous);
   out.ledger = std::move(rr.ledger);
-
-  place::Placer placer(opts.placer);
-  out.layout.placement = placer.place(out.erroneous);
-  route_layout(out.erroneous, out.layout, opts);
+  out.layout =
+      route_design(out.erroneous, place_design(out.erroneous, opts), opts);
   return out;
-}
-
-LayoutResult layout_routing_perturbed(const Netlist& nl,
-                                      const FlowOptions& opts, double fraction,
-                                      int elevate_to, std::uint64_t seed) {
-  place::Placer placer(opts.placer);
-  PlacedDesign placed;
-  placed.placement = placer.place(nl);
-  return layout_routing_perturbed(nl, opts, placed, fraction, elevate_to, seed);
 }
 
 LayoutResult layout_routing_perturbed(const Netlist& nl,
@@ -153,17 +117,6 @@ LayoutResult layout_routing_perturbed(const Netlist& nl,
       min_layer[n] = elevate_to;
   route_layout(phys, out, opts, min_layer);
   return out;
-}
-
-LayoutResult layout_routing_blockage(const Netlist& nl,
-                                     const FlowOptions& opts,
-                                     int num_blockages, double size_um,
-                                     int max_layer, std::uint64_t seed) {
-  place::Placer placer(opts.placer);
-  PlacedDesign placed;
-  placed.placement = placer.place(nl);
-  return layout_routing_blockage(nl, opts, placed, num_blockages, size_um,
-                                 max_layer, seed);
 }
 
 LayoutResult layout_routing_blockage(const Netlist& nl,

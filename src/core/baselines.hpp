@@ -26,23 +26,16 @@ namespace sm::core {
 
 enum class PerturbStrategy { Random, GColor, GType1, GType2 };
 
-/// [5]/[8]: place the netlist, then swap the locations of `fraction` of the
-/// gates within the strategy's candidate classes, and re-route. Swaps are
-/// bounded to `radius_frac` of the die width — the published schemes bound
+/// [5]/[8]: swap the locations of `fraction` of the placed gates within the
+/// strategy's candidate classes, and re-route. Swaps are bounded to
+/// `radius_frac` of the die width — the published schemes bound
 /// displacement to keep the layout routable, which is also why they only
 /// dent the proximity signal instead of destroying it.
 ///
-/// Each placement-consuming baseline has two entry points: the original
-/// self-placing signature, and an overload taking a shared stage-1
-/// `PlacedDesign` (what `sweep` feeds from `LayoutCache::placed` so one
-/// placement serves every baseline defense of a (bench, seed) pair). The
-/// self-placing form places directly — bit-identical to its pre-overload
-/// behavior — and the overload perturbs a *copy* of the given placement.
-LayoutResult layout_placement_perturbed(const netlist::Netlist& nl,
-                                        const FlowOptions& opts,
-                                        PerturbStrategy strategy,
-                                        double fraction, std::uint64_t seed,
-                                        double radius_frac = 0.2);
+/// The baselines that keep the netlist start from a stage-1 `PlacedDesign`
+/// — `core::place_design`, or in a sweep `LayoutCache::placed`, so one
+/// placement serves every such defense of a (bench, seed) pair — and
+/// perturb or re-route a *copy* of its placement.
 LayoutResult layout_placement_perturbed(const netlist::Netlist& nl,
                                         const FlowOptions& opts,
                                         const PlacedDesign& placed,
@@ -51,7 +44,8 @@ LayoutResult layout_placement_perturbed(const netlist::Netlist& nl,
                                         double radius_frac = 0.2);
 
 /// [3]: `num_swaps` real connection swaps (tracked in the ledger for BEOL
-/// correction), routed without lifting or correction cells.
+/// correction), placed with core::place_design and routed without lifting
+/// or correction cells.
 struct SwappedLayout {
   netlist::Netlist erroneous;
   SwapLedger ledger;
@@ -63,9 +57,6 @@ SwappedLayout layout_pin_swapped(const netlist::Netlist& nl,
 
 /// [12]: elevate and detour `fraction` of the nets above `elevate_to`.
 LayoutResult layout_routing_perturbed(const netlist::Netlist& nl,
-                                      const FlowOptions& opts, double fraction,
-                                      int elevate_to, std::uint64_t seed);
-LayoutResult layout_routing_perturbed(const netlist::Netlist& nl,
                                       const FlowOptions& opts,
                                       const PlacedDesign& placed,
                                       double fraction, int elevate_to,
@@ -73,10 +64,6 @@ LayoutResult layout_routing_perturbed(const netlist::Netlist& nl,
 
 /// [7]: scatter `num_blockages` square lateral blockages of `size_um` on
 /// layers up to `max_layer`, then route normally.
-LayoutResult layout_routing_blockage(const netlist::Netlist& nl,
-                                     const FlowOptions& opts,
-                                     int num_blockages, double size_um,
-                                     int max_layer, std::uint64_t seed);
 LayoutResult layout_routing_blockage(const netlist::Netlist& nl,
                                      const FlowOptions& opts,
                                      const PlacedDesign& placed,

@@ -4,7 +4,6 @@
 #include "util/config_hash.hpp"
 #include "util/fault.hpp"
 #include "util/json.hpp"
-#include "workloads/generator.hpp"
 
 #include <chrono>
 #include <thread>
@@ -55,6 +54,7 @@ std::string cell_config_json(const Grid& grid, const Options& opts,
     w.key("baseline").begin_object();
     switch (defense) {
       case Defense::PlacePerturb:
+      case Defense::Random:
       case Defense::GColor:
       case Defense::GType1:
       case Defense::GType2:
@@ -106,21 +106,10 @@ std::string cell_config_json(const Grid& grid, const Options& opts,
 std::vector<CellRef> expand_cells(const Grid& grid, const Options& opts) {
   // Validate every benchmark before expanding anything — a typo must throw
   // even when the split list is empty and no cells would exist.
-  const auto& sb = workloads::superblue_names();
-  const auto& iscas = workloads::iscas85_names();
-  const auto& synth = workloads::synthetic_names();
-  std::vector<Workload> workload(grid.benchmarks.size());
-  for (std::size_t bi = 0; bi < grid.benchmarks.size(); ++bi) {
-    const auto& bench = grid.benchmarks[bi];
-    if (std::find(sb.begin(), sb.end(), bench) != sb.end())
-      workload[bi] = Workload::Superblue;
-    else if (std::find(synth.begin(), synth.end(), bench) != synth.end())
-      workload[bi] = Workload::Synthetic;
-    else if (std::find(iscas.begin(), iscas.end(), bench) != iscas.end())
-      workload[bi] = Workload::Iscas85;
-    else
-      throw std::invalid_argument("sweep: unknown benchmark '" + bench + "'");
-  }
+  std::vector<Workload> workload;
+  workload.reserve(grid.benchmarks.size());
+  for (const auto& bench : grid.benchmarks)
+    workload.push_back(workload_of(bench));
 
   std::vector<CellRef> cells;
   cells.reserve(grid.combinations());

@@ -13,7 +13,6 @@
 #include "util/config_hash.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
-#include "workloads/generator.hpp"
 
 #include <algorithm>
 #include <cctype>
@@ -89,19 +88,10 @@ void run_task(const Task& t, const Grid& grid, const Options& opts,
               core::LayoutCache& cache, Row* rows,
               const std::vector<char>& compute, const CellCallback& on_cell) {
   const double t0 = now_ms();
-  const auto spec = [&] {
-    switch (t.workload) {
-      case Workload::Superblue:
-        return workloads::superblue_profile(t.benchmark, grid.scale);
-      case Workload::Synthetic:
-        return workloads::synthetic_profile(t.benchmark, grid.scale);
-      case Workload::Iscas85:
-        break;
-    }
-    return workloads::iscas85_profile(t.benchmark);
-  }();
-  const auto& nl = cache.netlist(
-      t.cache_key, [&] { return workloads::generate(lib, spec, t.seed); });
+  const auto& nl = cache.netlist(t.cache_key, [&] {
+    return workloads::generate(
+        lib, task_spec(t.benchmark, t.workload, grid.scale), t.seed);
+  });
   const auto flow = task_flow(t.benchmark, t.workload, t.seed, grid.scale);
 
   const netlist::Netlist* feol = &nl;
@@ -129,6 +119,7 @@ void run_task(const Task& t, const Grid& grid, const Options& opts,
       break;
     }
     case Defense::PlacePerturb:
+    case Defense::Random:
     case Defense::GColor:
     case Defense::GType1:
     case Defense::GType2: {
@@ -277,36 +268,38 @@ std::uint64_t parse_u64(const std::string& s, const char* what) {
 
 }  // namespace
 
+workloads::GenSpec task_spec(const std::string& benchmark, Workload workload,
+                             double scale) {
+  switch (workload) {
+    case Workload::Superblue:
+      return workloads::superblue_profile(benchmark, scale);
+    case Workload::Synthetic:
+      return workloads::synthetic_profile(benchmark, scale);
+    case Workload::Iscas85:
+      break;
+  }
+  return workloads::iscas85_profile(benchmark);
+}
+
 core::FlowOptions task_flow(const std::string& benchmark, Workload workload,
                             std::uint64_t seed, double scale) {
-  // Same flow tuning the benches and sm_flow use: M6 correction pins for
-  // ISCAS, M8 for superblue and the large synthetic clones, utilization
-  // derated so the router stays congestion-free (bench/common.hpp is the
-  // reference).
+  // M6 correction pins for ISCAS (paper Sec. 5.1); M8 for superblue and the
+  // large synthetic clones, which are routed like superblue. Utilization is
+  // derated so the substrate router stays congestion-free — for superblue
+  // x0.5 of the published rate, the paper's "appropriate utilization rates".
   core::FlowOptions f;
   f.seed = seed;
   f.router.passes = 3;
   f.placer.seed = seed;
-  switch (workload) {
-    case Workload::Superblue: {
-      const auto spec = workloads::superblue_profile(benchmark, scale);
-      f.lift_layer = 8;
-      f.placer.target_utilization = spec.utilization * 0.5;
-      f.placer.detailed_passes = 1;
-      break;
-    }
-    case Workload::Synthetic: {
-      const auto spec = workloads::synthetic_profile(benchmark, scale);
-      f.lift_layer = 8;
-      f.placer.target_utilization = spec.utilization * 0.5;
-      f.placer.detailed_passes = 1;
-      break;
-    }
-    case Workload::Iscas85:
-      f.lift_layer = 6;
-      f.placer.target_utilization = 0.45;
-      f.placer.detailed_passes = 2;
-      break;
+  if (workload == Workload::Iscas85) {
+    f.lift_layer = 6;
+    f.placer.target_utilization = 0.45;
+    f.placer.detailed_passes = 2;
+  } else {
+    f.lift_layer = 8;
+    f.placer.target_utilization =
+        task_spec(benchmark, workload, scale).utilization * 0.5;
+    f.placer.detailed_passes = 1;
   }
   return f;
 }
@@ -324,6 +317,7 @@ const char* to_string(Defense d) {
     case Defense::Unprotected: return "unprotected";
     case Defense::Proposed: return "proposed";
     case Defense::PlacePerturb: return "place-perturb";
+    case Defense::Random: return "random";
     case Defense::GColor: return "g-color";
     case Defense::GType1: return "g-type1";
     case Defense::GType2: return "g-type2";
@@ -338,6 +332,7 @@ Defense defense_from_string(const std::string& name) {
   if (name == "unprotected" || name == "original") return Defense::Unprotected;
   if (name == "proposed" || name == "protected") return Defense::Proposed;
   if (name == "place-perturb") return Defense::PlacePerturb;
+  if (name == "random") return Defense::Random;
   if (name == "g-color") return Defense::GColor;
   if (name == "g-type1") return Defense::GType1;
   if (name == "g-type2") return Defense::GType2;
@@ -346,8 +341,8 @@ Defense defense_from_string(const std::string& name) {
   if (name == "route-blockage") return Defense::RouteBlockage;
   throw std::invalid_argument(
       "sweep: unknown defense '" + name +
-      "' (want unprotected|proposed|place-perturb|g-color|g-type1|g-type2|"
-      "pin-swap|route-perturb|route-blockage)");
+      "' (want unprotected|proposed|place-perturb|random|g-color|g-type1|"
+      "g-type2|pin-swap|route-perturb|route-blockage)");
 }
 
 bool is_baseline(Defense d) {
@@ -355,16 +350,20 @@ bool is_baseline(Defense d) {
 }
 
 BaselineRecipe baseline_recipe(Defense d) {
-  // The bench-harness parameter precedents: Table 4 perturbs 5% of gates
-  // within 0.1 die widths for Wang [5] and 25% within 0.2 for the Sengupta
-  // strategies [8]; Table 5 swaps max(4, nets/50) pins [3] and elevates 15%
-  // of the nets [12]; Table 6 scatters 5 blockages of die/14 up to M4 [7].
+  // Table 4 perturbs 5% of gates within 0.1 die widths for Wang [5] and
+  // 25% within 0.2 for the Sengupta strategies [8]; Table 5 swaps
+  // max(4, nets/50) pins [3] and elevates 15% of the nets [12]. For
+  // Magana [7] this recipe scatters 5 blockages of die/14 on M1-M4, while
+  // Table 6 blocks M1-M5. Each keeps its value: at M4, Table 6's --quick
+  // blockage column would fall from +298/+70 to +28/+6 added V67/V78 vias,
+  // and M5 here would change this recipe's pinned config hash.
   BaselineRecipe r;
   switch (d) {
     case Defense::PlacePerturb:
       r.fraction = 0.05;
       r.radius_frac = 0.1;
       break;
+    case Defense::Random:
     case Defense::GColor:
     case Defense::GType1:
     case Defense::GType2:
@@ -414,6 +413,16 @@ const char* to_string(Workload w) {
     case Workload::Synthetic: return "synthetic";
   }
   return "iscas85";
+}
+
+Workload workload_of(const std::string& benchmark) {
+  const auto known = [&](const std::vector<std::string>& names) {
+    return std::find(names.begin(), names.end(), benchmark) != names.end();
+  };
+  if (known(workloads::superblue_names())) return Workload::Superblue;
+  if (known(workloads::synthetic_names())) return Workload::Synthetic;
+  if (known(workloads::iscas85_names())) return Workload::Iscas85;
+  throw std::invalid_argument("unknown benchmark '" + benchmark + "'");
 }
 
 std::size_t Grid::combinations() const {
@@ -496,35 +505,41 @@ util::Table Result::table() const {
   return t;
 }
 
-util::Table Result::summary() const {
-  struct Acc {
-    double ccr = 0, ccr_prot = 0, oer = 0, hd = 0;
-    std::size_t n = 0;
-  };
-  // std::map keeps the summary ordering deterministic and readable
-  // (alphabetical benchmark, defenses then attackers in enum order).
-  std::map<std::tuple<std::string, int, int>, Acc> acc;
+std::string Mean::pct(double metric) const {
+  return cells ? util::Table::pct(100 * metric, 1) : "n/a";
+}
+
+std::map<MeanKey, Mean> Result::means() const {
+  std::map<MeanKey, Mean> out;
   for (const auto& r : rows) {
-    auto& a = acc[{r.benchmark, static_cast<int>(r.defense),
-                   static_cast<int>(r.attacker)}];
-    a.ccr += r.ccr;
-    a.ccr_prot += r.ccr_protected;
-    a.oer += r.oer;
-    a.hd += r.hd;
-    ++a.n;
+    // A vacuous cell still names its group, so an all-vacuous group shows.
+    Mean& m = out[{r.benchmark, r.defense, r.attacker}];
+    if (r.open_sinks == 0) continue;
+    m.ccr += r.ccr;
+    m.ccr_protected += r.ccr_protected;
+    m.oer += r.oer;
+    m.hd += r.hd;
+    ++m.cells;
   }
+  for (auto& [key, m] : out) {
+    if (!m.cells) continue;
+    const double n = static_cast<double>(m.cells);
+    m.ccr /= n;
+    m.ccr_protected /= n;
+    m.oer /= n;
+    m.hd /= n;
+  }
+  return out;
+}
+
+util::Table Result::summary() const {
   util::Table t({"Benchmark", "Defense", "Attacker", "CCR", "CCR(rand)",
                  "OER", "HD", "Cells"});
-  for (const auto& [key, a] : acc) {
-    const double n = static_cast<double>(a.n);
-    t.add_row({std::get<0>(key),
-               to_string(static_cast<Defense>(std::get<1>(key))),
-               to_string(static_cast<Attacker>(std::get<2>(key))),
-               util::Table::pct(100 * a.ccr / n, 1),
-               util::Table::pct(100 * a.ccr_prot / n, 1),
-               util::Table::pct(100 * a.oer / n, 1),
-               util::Table::pct(100 * a.hd / n, 1), util::Table::count(a.n)});
-  }
+  for (const auto& [key, m] : means())
+    t.add_row({std::get<0>(key), to_string(std::get<1>(key)),
+               to_string(std::get<2>(key)), m.pct(m.ccr),
+               m.pct(m.ccr_protected), m.pct(m.oer), m.pct(m.hd),
+               util::Table::count(m.cells)});
   return t;
 }
 

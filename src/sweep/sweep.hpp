@@ -51,10 +51,13 @@
 
 #include "core/pipeline.hpp"
 #include "util/table.hpp"
+#include "workloads/generator.hpp"
 
 #include <cstddef>
 #include <cstdint>
+#include <map>
 #include <string>
+#include <tuple>
 #include <vector>
 
 namespace sm::sweep {
@@ -67,6 +70,7 @@ enum class Defense {
   Unprotected,    ///< plain layout of the original netlist
   Proposed,       ///< the paper's randomize + correct + lift flow
   PlacePerturb,   ///< Wang [5]: random bounded placement swaps
+  Random,         ///< Sengupta [8]: swaps among all gates
   GColor,         ///< Sengupta [8]: swaps within equal-fan-in classes
   GType1,         ///< Sengupta [8]: swaps within identical cell types
   GType2,         ///< Sengupta [8]: swaps within same logic function
@@ -77,7 +81,7 @@ enum class Defense {
 
 const char* to_string(Defense d);
 /// Parse a defense name ("unprotected"/"original", "proposed"/"protected",
-/// "place-perturb", "g-color", "g-type1", "g-type2", "pin-swap",
+/// "place-perturb", "random", "g-color", "g-type1", "g-type2", "pin-swap",
 /// "route-perturb", "route-blockage"). Throws std::invalid_argument
 /// otherwise.
 Defense defense_from_string(const std::string& name);
@@ -122,6 +126,9 @@ enum class Workload {
 };
 
 const char* to_string(Workload w);
+/// The suite a benchmark name belongs to. Throws std::invalid_argument for
+/// names no suite knows.
+Workload workload_of(const std::string& benchmark);
 
 /// The cross product a sweep evaluates. Benchmarks may mix ISCAS-85,
 /// superblue (`scale` applies), and synthetic workload-generator names.
@@ -175,9 +182,12 @@ struct Options {
   std::size_t shard_count = 1;
 };
 
-/// The exact FlowOptions / RandomizeOptions every sweep cell of
-/// (benchmark, seed) uses — also the recipe the store's config hash covers
-/// (core::canonical_flow_json).
+/// The flow recipe: the generator spec, FlowOptions and RandomizeOptions
+/// every sweep cell of (benchmark, seed) uses, and the ones the benches and
+/// `sm_flow` start from. task_flow is also what the store's config hash
+/// covers (core::canonical_flow_json).
+workloads::GenSpec task_spec(const std::string& benchmark, Workload workload,
+                             double scale);
 core::FlowOptions task_flow(const std::string& benchmark, Workload workload,
                             std::uint64_t seed, double scale);
 core::RandomizeOptions task_randomize(std::uint64_t seed);
@@ -218,6 +228,22 @@ struct Row {
   double wall_ms = 0.0;
 };
 
+/// Mean metrics of one (benchmark, defense, attacker) group over its seeds
+/// and split layers. Vacuous cells — no open sink, so nothing was cut and
+/// ProximityResult::ccr() reads 1.0 by convention — are left out.
+struct Mean {
+  double ccr = 0.0;
+  double ccr_protected = 0.0;
+  double oer = 0.0;
+  double hd = 0.0;
+  std::size_t cells = 0;  ///< cells averaged; 0 = every cell was vacuous
+
+  /// `metric` (one of this mean's fields) as a table percentage, or "n/a"
+  /// when no cell was averaged.
+  std::string pct(double metric) const;
+};
+using MeanKey = std::tuple<std::string, Defense, Attacker>;
+
 struct Result {
   /// Grid-major: benchmark, seed, defense, split, attacker (innermost).
   /// Under sharding, only the cells of this shard's tasks (grid-major
@@ -251,8 +277,10 @@ struct Result {
 
   /// Per-row table (one line per grid cell).
   util::Table table() const;
-  /// Mean CCR/OER/HD per (benchmark, defense), averaged over seeds and
-  /// split layers — the shape the paper's Tables 4/5 report.
+  /// One Mean per (benchmark, defense, attacker) present in rows, ordered
+  /// by benchmark name, then defense and attacker in enum order — what the
+  /// paper's Tables 4/5 report, and what summary() renders.
+  std::map<MeanKey, Mean> means() const;
   util::Table summary() const;
   std::string to_csv() const;
   std::string to_json() const;

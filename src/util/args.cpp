@@ -1,5 +1,6 @@
 #include "util/args.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <cstdlib>
 #include <stdexcept>
@@ -61,6 +62,12 @@ std::size_t Args::get_count(const std::string& key,
                                 ": expected a non-negative integer, got '" +
                                 v + "'");
   return static_cast<std::size_t>(parsed);
+}
+
+void Args::reject_unknown(const std::vector<std::string>& known) const {
+  for (const auto& [key, value] : kv_)
+    if (std::find(known.begin(), known.end(), key) == known.end())
+      throw std::invalid_argument("unknown flag --" + key);
 }
 
 bool Args::get_bool(const std::string& key, bool fallback) const {

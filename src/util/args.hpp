@@ -23,6 +23,9 @@ class Args {
   /// std::invalid_argument on anything else — get_int maps garbage to 0 and
   /// lets negatives through, the wrong failure mode for counts like --jobs.
   std::size_t get_count(const std::string& key, std::size_t fallback) const;
+  /// Throws std::invalid_argument naming a key not in `known`, so a flag
+  /// the caller would never read fails instead of being ignored.
+  void reject_unknown(const std::vector<std::string>& known) const;
 
   const std::vector<std::string>& positional() const { return positional_; }
 

@@ -28,7 +28,7 @@ class AttackTest : public ::testing::Test {
     return workloads::generate(lib, workloads::iscas85_profile(name), seed);
   }
   FlowOptions flow() const {
-    // Mirror the bench harness setup (bench/common.hpp iscas_flow).
+    // sweep::task_flow's ISCAS recipe, with the default seeds.
     FlowOptions f;
     f.lift_layer = 6;
     f.router.passes = 3;

@@ -216,25 +216,30 @@ TEST_F(CoreFlowTest, BudgetLoopRespectsBudget) {
 
 TEST_F(CoreFlowTest, BaselinesProduceValidLayouts) {
   const Netlist original = bench();
+  const auto placed = place_design(original, flow());
   const auto perturbed = layout_placement_perturbed(
-      original, flow(), PerturbStrategy::GType1, 0.15, 3);
+      original, flow(), placed, PerturbStrategy::GType1, 0.15, 3);
   EXPECT_EQ(perturbed.routing.stats.failed_nets, 0u);
 
   const auto swapped = layout_pin_swapped(original, flow(), 10, 3);
   EXPECT_EQ(swapped.ledger.entries.size(), 10u);
   EXPECT_EQ(swapped.layout.routing.stats.failed_nets, 0u);
 
-  const auto rperturb = layout_routing_perturbed(original, flow(), 0.1, 5, 3);
+  const auto rperturb =
+      layout_routing_perturbed(original, flow(), placed, 0.1, 5, 3);
   EXPECT_EQ(rperturb.routing.stats.failed_nets, 0u);
 
-  const auto blocked = layout_routing_blockage(original, flow(), 3, 8.0, 4, 3);
+  const auto blocked =
+      layout_routing_blockage(original, flow(), placed, 3, 8.0, 4, 3);
   EXPECT_EQ(blocked.routing.stats.failed_nets, 0u);
 }
 
 TEST_F(CoreFlowTest, BlockagesPushWiringUp) {
   const Netlist original = bench("c1908", 4);
-  const auto orig = layout_original(original, flow());
-  const auto blocked = layout_routing_blockage(original, flow(), 6, 10.0, 4, 3);
+  const auto placed = place_design(original, flow());
+  const auto orig = route_design(original, placed, flow());
+  const auto blocked =
+      layout_routing_blockage(original, flow(), placed, 6, 10.0, 4, 3);
   double orig_high = 0, blocked_high = 0;
   for (int l = 5; l <= 10; ++l) {
     orig_high += orig.routing.stats.wire_um[static_cast<std::size_t>(l)];

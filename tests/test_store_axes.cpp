@@ -75,6 +75,7 @@ TEST(StoreAxes, GoldenBaselineDefenseHashesAreStableAcrossReleases) {
   using sweep::Defense;
   const std::pair<Defense, const char*> pins[] = {
       {Defense::PlacePerturb, "ee07b948a484c187"},
+      {Defense::Random, "8c940f4c08f1396f"},
       {Defense::GColor, "0fb5a5a0215b7d33"},
       {Defense::GType1, "f10929e67465cde7"},
       {Defense::GType2, "3fe167646c985860"},
@@ -153,16 +154,17 @@ TEST(StoreAxes, HashIgnoresSchedulingOptionsOnNewAxes) {
 TEST(StoreAxes, HashCoversTheAttackerCoordinate) {
   sweep::Grid grid = quick_grid();
   grid.defenses = {sweep::Defense::Unprotected, sweep::Defense::Proposed,
-                   sweep::Defense::PlacePerturb, sweep::Defense::GColor,
-                   sweep::Defense::GType1, sweep::Defense::GType2,
-                   sweep::Defense::PinSwap, sweep::Defense::RoutePerturb,
+                   sweep::Defense::PlacePerturb, sweep::Defense::Random,
+                   sweep::Defense::GColor, sweep::Defense::GType1,
+                   sweep::Defense::GType2, sweep::Defense::PinSwap,
+                   sweep::Defense::RoutePerturb,
                    sweep::Defense::RouteBlockage};
   grid.attackers = {sweep::Attacker::Proximity, sweep::Attacker::CRouting,
                     sweep::Attacker::Sat};
   sweep::Options opts;
   opts.patterns = 2000;
   const auto cells = sweep::expand_cells(grid, opts);
-  ASSERT_EQ(cells.size(), 27u);
+  ASSERT_EQ(cells.size(), 30u);
   for (std::size_t i = 0; i < cells.size(); ++i)
     for (std::size_t j = i + 1; j < cells.size(); ++j)
       EXPECT_NE(cells[i].config_hash, cells[j].config_hash)

@@ -234,6 +234,44 @@ TEST(Sweep, ExportsContainEveryRow) {
   EXPECT_EQ(res.rows[0].wall_ms, res.rows[1].wall_ms);
 }
 
+// A cell with no open sink reports CCR 1.0 by convention; the means skip
+// it, count only what they averaged, and render an all-vacuous group n/a.
+TEST(Sweep, MeansSkipVacuousCells) {
+  sweep::Result res;
+  sweep::Row row;
+  row.benchmark = "c432";
+  row.ccr = row.ccr_protected = row.oer = row.hd = 1.0;  // vacuous
+  res.rows.push_back(row);
+  row.ccr = row.ccr_protected = 0.8;
+  row.oer = 0.5;
+  row.hd = 0.1;
+  row.open_sinks = 5;
+  res.rows.push_back(row);
+  row = {};
+  row.benchmark = "c880";
+  row.ccr = row.ccr_protected = 1.0;  // vacuous
+  res.rows.push_back(row);
+
+  const auto means = res.means();
+  ASSERT_EQ(means.size(), 2u);
+  const auto& real = means.at(
+      {"c432", sweep::Defense::Unprotected, sweep::Attacker::Proximity});
+  EXPECT_EQ(real.cells, 1u);
+  EXPECT_EQ(real.ccr, 0.8);
+  EXPECT_EQ(real.oer, 0.5);
+  EXPECT_EQ(real.hd, 0.1);
+  EXPECT_EQ(real.pct(real.ccr), "80.0%");
+  const auto& none = means.at(
+      {"c880", sweep::Defense::Unprotected, sweep::Attacker::Proximity});
+  EXPECT_EQ(none.cells, 0u);
+  EXPECT_EQ(none.pct(none.ccr), "n/a");
+
+  const auto summary = res.summary().render();
+  EXPECT_NE(summary.find("80.0%"), std::string::npos);
+  EXPECT_EQ(summary.find("90.0%"), std::string::npos);
+  EXPECT_NE(summary.find("n/a"), std::string::npos);
+}
+
 TEST(Sweep, RejectsInvalidShardAndResumeOptions) {
   sweep::Grid grid;
   grid.benchmarks = {"c432"};

@@ -86,6 +86,7 @@ TEST(AttackerAxis, BaselineDefenseNamesRoundTrip) {
   using sweep::Defense;
   const std::pair<const char*, Defense> names[] = {
       {"place-perturb", Defense::PlacePerturb},
+      {"random", Defense::Random},
       {"g-color", Defense::GColor},
       {"g-type1", Defense::GType1},
       {"g-type2", Defense::GType2},

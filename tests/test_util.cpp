@@ -209,6 +209,18 @@ TEST(Args, GetCountRejectsNegativeAndGarbage) {
   EXPECT_THROW(args.get_count("trail", 1), std::invalid_argument);
 }
 
+TEST(Args, RejectUnknownNamesTheStrayKey) {
+  const char* argv[] = {"prog", "--quick", "--jobs=2", "pos"};
+  Args args(4, argv);
+  EXPECT_NO_THROW(args.reject_unknown({"jobs", "quick", "seed"}));
+  try {
+    args.reject_unknown({"quick"});
+    FAIL() << "--jobs accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "unknown flag --jobs");
+  }
+}
+
 TEST(SplitList, SplitsAndSkipsEmptyEntries) {
   EXPECT_EQ(split_list("a,b,c"), (std::vector<std::string>{"a", "b", "c"}));
   // Trailing, doubled, and leading separators must not inject "" items
