@@ -224,22 +224,21 @@ void BM_AttackCandidatesColdMcmf(benchmark::State& state) {
   attack_candidates(state, 0, /*mcmf_warm=*/false);
 }
 
-// ---- MCMF solver rigs (ISSUE-10) ----
+// ---- MCMF solver rigs ----
 // A random assignment-shaped network mirroring the attack's loop-repair
 // instances: S → sinks (cap 1, cost 0), sink → candidate drivers (cap 1,
 // integer-exact costs per the warm-start contract), drivers → T (small
 // caps). BM_McmfSolveCold prices the cold path's per-round rebuild;
-// BM_McmfRepairWarm prices the warm path's per-round repair (a handful of
-// arcs knocked out, then resolve() reuses the surviving flow and
-// potentials).
+// BM_McmfRepairWarm prices one warm repair round (a handful of candidate
+// arcs removed, then resolve() reuses the surviving flow and potentials).
 constexpr int kMcmfSinks = 256;
 constexpr int kMcmfDrivers = 300;
 constexpr int kMcmfCandidates = 8;
 
 struct McmfNet {
   attack::MinCostFlow flow{2 + kMcmfSinks + kMcmfDrivers};
-  // The sink→driver arcs (id, cost) — the ones loop repair knocks out.
-  std::vector<std::pair<int, double>> sink_edges;
+  // The sink→driver edge ids — the ones loop repair removes.
+  std::vector<int> sink_edges;
   int s = 0;
   int t = 1;
 };
@@ -260,8 +259,8 @@ McmfNet mcmf_build() {
       const double cost =
           static_cast<double>(rng.below(1u << 20)) * 268435456.0 +
           static_cast<double>(rng.below(1u << 28));
-      net.sink_edges.emplace_back(
-          net.flow.add_edge(sink_node(si), drv_node(di), 1, cost), cost);
+      net.sink_edges.push_back(
+          net.flow.add_edge(sink_node(si), drv_node(di), 1, cost));
     }
   return net;
 }
@@ -278,29 +277,20 @@ void BM_McmfSolveCold(benchmark::State& state) {
 void BM_McmfRepairWarm(benchmark::State& state) {
   auto net = mcmf_build();
   net.flow.solve(net.s, net.t, kMcmfSinks);
-  constexpr int kKnockout = 8;  // ~ one loop-repair round's removals
+  constexpr int kRemovals = 8;  // ~ one loop-repair round's removals
   std::size_t cursor = 0;
   for (auto _ : state) {
-    // Knock out a rolling window of candidate arcs (cap 0 keeps the edge
-    // ids alive, as the attack's loop repair does), repair, then restore
-    // and repair again so the steady state is iteration-invariant.
-    const std::size_t base = cursor;
-    cursor = (cursor + kKnockout) % net.sink_edges.size();
-    for (int k = 0; k < kKnockout; ++k) {
-      const auto& [id, cost] =
-          net.sink_edges[(base + static_cast<std::size_t>(k)) %
-                         net.sink_edges.size()];
-      net.flow.update_edge(id, 0, cost);
+    // Each iteration repairs a fresh copy of the solved network, made
+    // outside the timer, after removing the next window of candidate arcs.
+    state.PauseTiming();
+    auto flow = net.flow;
+    state.ResumeTiming();
+    for (int k = 0; k < kRemovals; ++k) {
+      flow.remove_edge(net.sink_edges[cursor]);
+      cursor = (cursor + 1) % net.sink_edges.size();
     }
-    net.flow.resolve();
-    for (int k = 0; k < kKnockout; ++k) {
-      const auto& [id, cost] =
-          net.sink_edges[(base + static_cast<std::size_t>(k)) %
-                         net.sink_edges.size()];
-      net.flow.update_edge(id, 1, cost);
-    }
-    net.flow.resolve();
-    benchmark::DoNotOptimize(net.flow.cost());
+    flow.resolve();
+    benchmark::DoNotOptimize(flow.cost());
   }
   state.SetItemsProcessed(state.iterations());
 }

@@ -21,19 +21,17 @@ MinCostFlow::MinCostFlow(int num_nodes)
       on_path_(static_cast<std::size_t>(num_nodes), 0) {}
 
 int MinCostFlow::add_edge(int from, int to, int capacity, double cost) {
+  if (solved_)
+    throw std::logic_error("MinCostFlow: add_edge() after solve()");
+  if (capacity < 0)
+    throw std::invalid_argument("MinCostFlow: negative capacity");
+  if (!(cost >= 0))
+    throw std::invalid_argument("MinCostFlow: cost must be non-negative");
   const int id = static_cast<int>(arcs_.size() / 2);
   arcs_.push_back({to, capacity, cost});
   arcs_.push_back({from, 0, -cost});
   adj_[static_cast<std::size_t>(from)].push_back(2 * id);
   adj_[static_cast<std::size_t>(to)].push_back(2 * id + 1);
-  if (!solved_) {
-    if (cost < 0) has_negative_ = true;
-  } else if (capacity > 0 && reduced_cost(2 * id) < 0) {
-    // A post-solve edge already violating the potentials: saturate it now
-    // (the imbalance re-routes on the next resolve()), so every residual
-    // arc keeps a non-negative reduced cost.
-    saturate(2 * id);
-  }
   return id;
 }
 
@@ -47,46 +45,6 @@ double MinCostFlow::cost() const {
   for (std::size_t a = 0; a + 1 < arcs_.size(); a += 2)
     total += static_cast<double>(arcs_[a + 1].cap) * arcs_[a].cost;
   return total;
-}
-
-double MinCostFlow::reduced_cost(int arc) const {
-  const Arc& e = arcs_[static_cast<std::size_t>(arc)];
-  const int u = arcs_[static_cast<std::size_t>(arc ^ 1)].to;
-  return e.cost + pi_[static_cast<std::size_t>(u)] -
-         pi_[static_cast<std::size_t>(e.to)];
-}
-
-void MinCostFlow::saturate(int arc) {
-  Arc& e = arcs_[static_cast<std::size_t>(arc)];
-  const int u = arcs_[static_cast<std::size_t>(arc ^ 1)].to;
-  const int c = e.cap;
-  arcs_[static_cast<std::size_t>(arc ^ 1)].cap += c;
-  e.cap = 0;
-  excess_[static_cast<std::size_t>(e.to)] += c;
-  excess_[static_cast<std::size_t>(u)] -= c;
-}
-
-void MinCostFlow::bellman_ford_init() {
-  // Virtual super-source at distance 0 from every node — valid potentials
-  // for arbitrary (possibly disconnected) graphs with no negative cycle.
-  const std::size_t n = adj_.size();
-  std::vector<double>& dist = pi_;  // becomes the potential directly
-  std::fill(dist.begin(), dist.end(), 0.0);
-  for (std::size_t round = 0; round <= n; ++round) {
-    bool changed = false;
-    for (std::size_t a = 0; a < arcs_.size(); ++a) {
-      const Arc& e = arcs_[a];
-      if (e.cap <= 0) continue;
-      const int u = arcs_[a ^ 1].to;
-      const double nd = dist[static_cast<std::size_t>(u)] + e.cost;
-      if (nd < dist[static_cast<std::size_t>(e.to)]) {
-        dist[static_cast<std::size_t>(e.to)] = nd;
-        changed = true;
-      }
-    }
-    if (!changed) return;
-  }
-  throw std::logic_error("MinCostFlow: negative-cost cycle");
 }
 
 template <class IsTarget>
@@ -284,7 +242,11 @@ void MinCostFlow::repair_and_augment() {
 
   // 1) Route non-terminal excesses (ascending node order — part of the
   //    pinned determinism) to the nearest deficit, or t when under target,
-  //    or back toward s as the absorber of last resort.
+  //    or back to s. Removals only ever leave an excess at the tail of a
+  //    removed arc, and the reverse arcs of the flow that reached it lead
+  //    back to s or to a deficit, so a target always exists. flow_ only
+  //    falls on removals and each phase stops at the target, so it never
+  //    exceeds target_.
   const auto drain_excess = [&](int u) {
     while (excess_[static_cast<std::size_t>(u)] > 0) {
       const bool room = flow_ < target_;
@@ -293,22 +255,12 @@ void MinCostFlow::repair_and_augment() {
         if (v == t_) return room;
         return excess_[static_cast<std::size_t>(v)] < 0;
       };
-      int tgt = dijkstra(&u, 1, allowed);
-      if (tgt < 0) {
-        // Over-target t is still a valid absorber; the trim phase pushes
-        // the overshoot back when a t->s residual path exists.
-        const auto any = [&](int v) {
-          return v == s_ || v == t_ ||
-                 excess_[static_cast<std::size_t>(v)] < 0;
-        };
-        tgt = dijkstra(&u, 1, any);
-        if (tgt < 0)
-          throw std::logic_error("MinCostFlow: unroutable imbalance");
-      }
+      const int tgt = dijkstra(&u, 1, allowed);
+      if (tgt < 0) throw std::logic_error("MinCostFlow: unroutable imbalance");
       long long limit = excess_[static_cast<std::size_t>(u)];
-      if (tgt == t_ && room)
+      if (tgt == t_)
         limit = std::min<long long>(limit, target_ - flow_);
-      else if (tgt != s_ && tgt != t_)
+      else if (tgt != s_)
         limit = std::min(limit, -excess_[static_cast<std::size_t>(tgt)]);
       const int pushed = augment(tgt, static_cast<int>(limit));
       if (pushed <= 0)
@@ -346,15 +298,7 @@ void MinCostFlow::repair_and_augment() {
     }
   }
 
-  // 3) Trim overshoot (updates can force flow above the target).
-  while (flow_ > target_) {
-    if (dijkstra(&t_, 1, [&](int x) { return x == s_; }) < 0) break;
-    const int pushed = augment(s_, flow_ - target_);
-    if (pushed <= 0) break;
-    flow_ -= pushed;
-  }
-
-  // 4) Augment toward the target, one *distance class* at a time: Dijkstra
+  // 3) Augment toward the target, one *distance class* at a time: Dijkstra
   //    finds the current shortest s->t length (potentials deferred), a
   //    blocking flow saturates every admissible path of that length at
   //    once, then the potentials catch up. With tie-rich costs this is the
@@ -375,64 +319,32 @@ void MinCostFlow::repair_and_augment() {
 }
 
 std::pair<int, double> MinCostFlow::solve(int s, int t, int max_flow) {
+  if (solved_) throw std::logic_error("MinCostFlow: solve() called twice");
   if (s == t) throw std::invalid_argument("MinCostFlow: s == t");
-  if (!solved_) {
-    s_ = s;
-    t_ = t;
-    if (has_negative_) bellman_ford_init();
-    solved_ = true;
-  } else if (s != s_ || t != t_) {
-    throw std::logic_error(
-        "MinCostFlow: terminals are fixed after the first solve");
-  }
-  const long long want = static_cast<long long>(target_) + max_flow;
-  target_ = static_cast<int>(
-      std::min<long long>(want, std::numeric_limits<int>::max()));
+  // Flow leaving t could be stranded there by a later removal, pushing
+  // the delivered flow past the target.
+  for (const int a : adj_[static_cast<std::size_t>(t)])
+    if ((a & 1) == 0)
+      throw std::invalid_argument("MinCostFlow: an edge leaves t");
+  s_ = s;
+  t_ = t;
+  target_ = max_flow;
+  solved_ = true;
   repair_and_augment();
   return {flow_, cost()};
 }
 
 void MinCostFlow::remove_edge(int id) {
-  update_edge(id, 0, arcs_[static_cast<std::size_t>(2 * id)].cost);
-}
-
-void MinCostFlow::update_edge(int id, int capacity, double cost) {
-  if (capacity < 0)
-    throw std::invalid_argument("MinCostFlow: negative capacity");
+  if (!solved_)
+    throw std::logic_error("MinCostFlow: remove_edge() before solve()");
   Arc& f = arcs_[static_cast<std::size_t>(2 * id)];
   Arc& r = arcs_[static_cast<std::size_t>(2 * id + 1)];
-  const int u = r.to;
-  const int v = f.to;
-  f.cost = cost;
-  r.cost = -cost;
-  if (!solved_) {
-    f.cap = capacity;
-    if (cost < 0) has_negative_ = true;
-    return;
-  }
-  const int flow = r.cap;
-  if (capacity < flow) {
-    // The overhang stops flowing here and now: the tail keeps receiving
-    // it (excess) and the head keeps forwarding it (deficit) until the
-    // next resolve() re-routes both.
-    const int df = flow - capacity;
-    r.cap = capacity;
-    f.cap = 0;
-    excess_[static_cast<std::size_t>(u)] += df;
-    excess_[static_cast<std::size_t>(v)] -= df;
-  } else {
-    f.cap = capacity - flow;
-  }
-  // Keep the potentials invariant (every residual arc has reduced cost
-  // >= 0) across the cost change: a now-negative forward arc saturates, a
-  // now-positive arc still carrying flow drains. Either way the imbalance
-  // is re-routed optimally by resolve().
-  const double rc = f.cost + pi_[static_cast<std::size_t>(u)] -
-                    pi_[static_cast<std::size_t>(v)];
-  if (f.cap > 0 && rc < 0)
-    saturate(2 * id);
-  else if (r.cap > 0 && rc > 0)
-    saturate(2 * id + 1);
+  // The flow stops here: the tail keeps receiving it (excess) and the head
+  // keeps forwarding it (deficit) until resolve() re-routes both.
+  excess_[static_cast<std::size_t>(r.to)] += r.cap;
+  excess_[static_cast<std::size_t>(f.to)] -= r.cap;
+  f.cap = 0;
+  r.cap = 0;
 }
 
 std::pair<int, double> MinCostFlow::resolve() {

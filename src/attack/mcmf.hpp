@@ -11,21 +11,20 @@
 // source arc head directly, exploring only the local candidate
 // neighborhood instead of the full graph.
 //
-// Incremental API: after a solve(), remove_edge()/update_edge() may perturb
-// individual arcs and resolve() repairs the flow *warm* — only the
-// imbalances the perturbations created are re-routed, and the potentials
-// carry over. Cold re-solves of the same final network and warm repairs
-// produce identical assignments (not merely equal cost): every shortest-
-// path search breaks distance ties on the lowest node index, relaxes arcs
-// in insertion (edge-id) order, and replaces a predecessor only on strict
-// improvement, so the optimum reached is pinned as long as it is unique.
-// The contract (and what invalidates the potentials) is documented in
-// ARCHITECTURE.md, "MCMF warm-start contract", and enforced by the
-// randomized cold-vs-warm harness in tests/test_mcmf.cpp plus the real
-// attack rigs in tests/test_attack.cpp.
+// The API is the attack's loop repair and nothing more: edges of
+// non-negative cost are added, solve() runs once, then any number of
+// remove_edge() + resolve() rounds follow. resolve() repairs the flow
+// *warm* — only the imbalances the removals created are re-routed, and the
+// potentials carry over. Cold solves of the same final network and warm
+// repairs produce identical assignments (not merely equal cost): every
+// shortest-path search breaks distance ties on the lowest node index,
+// relaxes arcs in insertion (edge-id) order, and replaces a predecessor
+// only on strict improvement, so the optimum reached is pinned as long as
+// it is unique. The contract is documented in ARCHITECTURE.md, "MCMF
+// warm-start contract", and enforced by the randomized cold-vs-warm harness
+// in tests/test_mcmf.cpp plus the real attack rigs in tests/test_attack.cpp.
 #pragma once
 
-#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -36,34 +35,28 @@ class MinCostFlow {
   explicit MinCostFlow(int num_nodes);
 
   /// Add a directed edge with capacity and cost; returns the edge id.
-  /// Edges added after a solve() participate from the next resolve()/
-  /// solve() on (a post-solve edge whose reduced cost is already negative
-  /// is saturated immediately to keep the potentials valid).
+  /// Edges are added before solve(): throws std::logic_error after it, and
+  /// std::invalid_argument on a negative capacity or cost.
   int add_edge(int from, int to, int capacity, double cost);
 
-  /// Send up to `max_flow` *additional* units from s to t; returns the
-  /// total (flow, cost) over the edge set. Repeated calls must keep the
-  /// same terminals. Throws std::logic_error on a negative-cost cycle.
+  /// Send up to `max_flow` units from s to t at least total cost; returns
+  /// the (flow, cost). Runs once per solver: a second call throws
+  /// std::logic_error. t only absorbs: an edge leaving it (or s == t)
+  /// throws std::invalid_argument.
   std::pair<int, double> solve(int s, int t, int max_flow);
 
   /// Flow currently on edge `id` (forward direction).
   int flow_on(int id) const;
 
-  // ---- Incremental (warm-start) API — valid after a solve() ----
-
-  /// Drop edge `id` (capacity 0, cost kept). Flow it carried becomes an
-  /// excess/deficit imbalance that the next resolve() re-routes.
+  /// Drop edge `id` after solve() (std::logic_error before it): its
+  /// capacity becomes 0, and the flow it carried becomes an excess at its
+  /// tail and a deficit at its head that the next resolve() re-routes.
   void remove_edge(int id);
 
-  /// Change capacity and cost of edge `id`. Capacity below the current
-  /// flow pushes the overhang back as an imbalance; a cost change that
-  /// turns a residual arc's reduced cost negative saturates (or drains)
-  /// the arc so the potentials invariant survives until resolve().
-  void update_edge(int id, int capacity, double cost);
-
   /// Repair all outstanding imbalances along shortest reduced-cost paths
-  /// and re-augment toward the accumulated solve() target; returns the
-  /// total (flow, cost), identical to a cold re-solve of the same network.
+  /// and re-augment toward the solve() target; returns the total (flow,
+  /// cost), identical to a cold solve of the network without the removed
+  /// edges.
   std::pair<int, double> resolve();
 
   int flow() const { return flow_; }
@@ -78,8 +71,6 @@ class MinCostFlow {
     double cost;
   };
 
-  double reduced_cost(int arc) const;
-  void bellman_ford_init();
   /// Dijkstra over reduced costs from `sources` until a node satisfying
   /// `is_target` pops (first pop = smallest (dist, node) — the pinned
   /// tie-break). Returns that node or -1. On success (unless the caller
@@ -104,13 +95,9 @@ class MinCostFlow {
   /// Push up to `limit` units along prev_arc_ into `target`; returns the
   /// amount pushed (path bottleneck).
   int augment(int target, int limit);
-  /// Saturate a residual arc whose reduced cost went negative, recording
-  /// the resulting imbalance for resolve().
-  void saturate(int arc);
   /// Fold s/t imbalances into flow_ (terminals are allowed any net flow).
   void normalize_terminals();
-  /// Route non-terminal excesses/deficits, trim overshoot, re-augment to
-  /// target_.
+  /// Route non-terminal excesses/deficits, then re-augment to target_.
   void repair_and_augment();
 
   std::vector<Arc> arcs_;
@@ -118,10 +105,9 @@ class MinCostFlow {
   std::vector<double> pi_;             ///< Johnson potentials
   std::vector<long long> excess_;      ///< >0 surplus inflow, <0 deficit
   int s_ = -1, t_ = -1;
-  int target_ = 0;  ///< accumulated solve() budget
+  int target_ = 0;  ///< the solve() budget
   int flow_ = 0;    ///< units currently delivered to t_
   bool solved_ = false;
-  bool has_negative_ = false;  ///< a pre-solve edge had negative cost
 
   // Dijkstra scratch, reset sparsely via touched_.
   std::vector<double> dist_;

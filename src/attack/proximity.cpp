@@ -7,8 +7,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -98,6 +96,12 @@ double vpin_spread(const Fragment& f) {
   return r;
 }
 
+/// The drive-strength prior (ProximityOptions::use_strength_prior). Its
+/// factor, 1 + kStrengthPriorWeight * min(mismatch, 2), is never below 1,
+/// so it cannot lower CandidateFinder's cost floor.
+constexpr double kStrengthPriorWeight = 0.4;
+constexpr double kStrengthPriorScaleUm = 180.0;
+
 /// Matching cost between a driver fragment and a sink fragment: closest
 /// vpin-pair Manhattan distance, discounted when the dangling-wire stubs
 /// point at each other (hint (iv) of [5] — the BEOL continuation of a wire
@@ -112,15 +116,12 @@ double pair_cost(const Netlist& feol, const Fragment& drv,
   if (opts.use_strength_prior) {
     const auto& t = feol.type_of(feol.net(drv.net).driver);
     const double expected =
-        opts.strength_prior_scale_um / std::max(t.drive_res_kohm, 0.5);
+        kStrengthPriorScaleUm / std::max(t.drive_res_kohm, 0.5);
     const double actual =
         util::manhattan(frag_anchor(drv), frag_anchor(snk)) + 1.0;
     const double mismatch = std::abs(std::log((actual + 1.0) / (expected + 1.0)));
-    prior_factor += opts.strength_prior_weight * std::min(mismatch, 2.0);
+    prior_factor += kStrengthPriorWeight * std::min(mismatch, 2.0);
   }
-  // Hint (i): gate placement proximity (anchor = driver/sink gate location).
-  const double anchor_term =
-      opts.anchor_weight * util::manhattan(drv.anchor, snk.anchor);
   double best = util::manhattan(frag_anchor(drv), frag_anchor(snk)) + 1.0;
   auto consider = [&](const core::VPin& d, const core::VPin& s) {
     const double vx = s.pos.x - d.pos.x;
@@ -147,11 +148,10 @@ double pair_cost(const Netlist& feol, const Fragment& drv,
     }
     best = std::min(best, dist * factor);
   };
-  if (drv.vpins.empty() || snk.vpins.empty())
-    return best * prior_factor + anchor_term;
+  if (drv.vpins.empty() || snk.vpins.empty()) return best * prior_factor;
   for (const auto& dv : drv.vpins)
     for (const auto& sv : snk.vpins) consider(dv, sv);
-  return best * prior_factor + anchor_term;
+  return best * prior_factor;
 }
 
 /// One candidate pairing; per-sink lists are sorted by (cost, di) — the
@@ -175,8 +175,8 @@ struct Cand {
 /// valid because every distance pair_cost can be built from starts at one
 /// of the driver's indexed points. The query stops once every unvisited
 /// driver is provably worse than the current k-th candidate, so the result
-/// equals the brute-force scan. Small instances (or exotic negative
-/// weights that void the bound) use brute force directly. The rankings are
+/// equals the brute-force scan. Small instances (or a direction_bonus low
+/// enough to void the bound) use brute force directly. The rankings are
 /// pure functions of the view; only the per-query visit scratch is
 /// mutable, like Hypothesis's.
 class CandidateFinder {
@@ -198,12 +198,9 @@ class CandidateFinder {
           1.0 - (1.0 - std::min(1.0, opts.direction_bonus)) * std::sqrt(2.0);
       cost_floor_ = std::max(0.0, dir_min) * std::min(1.0, opts.track_bonus);
     }
-    if (opts.use_strength_prior)
-      cost_floor_ *=
-          std::min(1.0, 1.0 + 2.0 * opts.strength_prior_weight);
     use_index_ = nd >= static_cast<std::size_t>(
                            std::max(1, opts.index_min_drivers)) &&
-                 cost_floor_ > 0.0 && opts.anchor_weight >= 0.0;
+                 cost_floor_ > 0.0;
     if (!use_index_) return;
     std::vector<Point> points;
     for (std::size_t di = 0; di < nd; ++di) {
@@ -409,9 +406,10 @@ ProximityResult proximity_attack(const Netlist& feol, const Netlist& original,
         // on different (equally good) assignments, and the attack
         // promises they never do. The quantization (0.016 um) and the
         // tie-break (1/64-um ulp) are both far below any real geometric
-        // preference.
+        // preference. The solver takes no negative cost, which only a
+        // direction_bonus below ~0.3 on diagonal stubs could produce.
         const double base =
-            std::min(std::round(c.cost * 64.0), 4194304.0 /* 2^22 */);
+            std::clamp(std::round(c.cost * 64.0), 0.0, 4194304.0 /* 2^22 */);
         std::uint64_t state =
             0x9e3779b97f4a7c15ULL ^ (static_cast<std::uint64_t>(refs.size()) + 1);
         const double tie =
@@ -497,17 +495,6 @@ ProximityResult proximity_attack(const Netlist& feol, const Netlist& original,
             feol.net(view.fragments[drv_frag_ids[r.di]].net).driver;
         for (const auto& s : view.fragments[snk_frag_ids[r.si]].sinks)
           hyp.add_edge(drv, s.cell);
-      }
-      if (getenv("SM_MCMF_DEBUG")) {
-        std::uint64_t h = 1469598103934665603ull;
-        for (const std::size_t i : chosen) {
-          h = (h ^ refs[i].si) * 1099511628211ull;
-          h = (h ^ refs[i].di) * 1099511628211ull;
-        }
-        fprintf(stderr,
-                "round: chosen=%zu bad=%zu flow=%d cost=%.15f hash=%016llx\n",
-                chosen.size(), bad.size(), flow.flow(), flow.cost(),
-                static_cast<unsigned long long>(h));
       }
       if (bad.empty()) break;  // commits stand
       for (const std::size_t i : bad) removed[i] = 1;

@@ -43,22 +43,18 @@ namespace sm::attack {
 struct ProximityOptions {
   int candidates_per_sink = 16;   ///< nearest driver fragments considered
   double direction_bonus = 0.75;  ///< cost factor when dangling wires align
-  /// Weight of gate-to-gate placement distance added to the vpin-to-vpin
-  /// cost (hint (i): the placer put truly connected gates close together).
-  /// Empirically the vpin geometry dominates, so this defaults off; it is
-  /// kept as an ablation knob.
-  double anchor_weight = 0.0;
   /// Cost factor for vpin pairs sharing a routing track (straight BEOL
   /// bridges are the most plausible continuation).
   double track_bonus = 0.5;
   /// Drive-strength prior (paper Sec. 3's BUFX8 argument): a strong driver
   /// "should" reach a distant sink, a weak one a nearby sink; candidates
-  /// violating the prior cost more. Off by default — it only bites when the
-  /// layout ran drive-strength fixing (FlowOptions::buffering), and on the
-  /// erroneous netlist it actively misleads, which is the paper's point.
+  /// violating the prior cost more. The expected reach is 180 um over the
+  /// driver's resistance in kOhm, and the cost grows by 0.4 per unit of
+  /// log-distance mismatch, capped at 2. Off by default — it only bites
+  /// when the layout ran drive-strength fixing (FlowOptions::buffering),
+  /// and on the erroneous netlist it actively misleads, which is the
+  /// paper's point.
   bool use_strength_prior = false;
-  double strength_prior_weight = 0.4;
-  double strength_prior_scale_um = 180.0;  ///< expected dist = this / res_kohm
   double load_budget_ff_per_ks = 220.0;  ///< load budget = this / drive_res
   bool use_loops = true;
   bool use_direction = true;
@@ -66,8 +62,8 @@ struct ProximityOptions {
   std::size_t eval_patterns = 100000;  ///< for OER/HD of the recovered netlist
   std::uint64_t seed = 7;
   /// Build the spatial vpin index when at least this many open driver
-  /// fragments exist; below it (or when exotic negative weights void the
-  /// index's cost lower bound) candidates come from the brute-force scan.
+  /// fragments exist; below it (or when a direction_bonus below ~0.3 voids
+  /// the index's cost lower bound) candidates come from the brute-force scan.
   /// Both paths rank by (pair_cost, driver index) and return identical
   /// candidate sets — the index only skips provably-too-far drivers.
   int index_min_drivers = 64;

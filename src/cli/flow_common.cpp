@@ -5,10 +5,19 @@
 #include <fstream>
 #include <iostream>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 namespace sm::cli {
 
-FlowSetup parse_setup(const util::Args& args) {
+FlowSetup parse_setup(const util::Args& args,
+                      std::initializer_list<const char*> extra) {
+  std::vector<std::string> known{"bench", "scale", "seed", "split-layer",
+                                 "patterns", "lift-layer", "buffering",
+                                 "route-passes", "detailed-passes",
+                                 "target-oer"};
+  known.insert(known.end(), extra.begin(), extra.end());
+  args.reject_unknown(known);
   FlowSetup s;
   s.bench = args.get("bench", s.bench);
   s.scale = args.get_double("scale", s.scale);

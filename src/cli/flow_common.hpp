@@ -11,6 +11,7 @@
 #include "workloads/generator.hpp"
 
 #include <cstdint>
+#include <initializer_list>
 #include <string>
 
 namespace sm::cli {
@@ -27,9 +28,13 @@ struct FlowSetup {
   core::RandomizeOptions rand_opts;
 };
 
-/// Parse the common options and resolve the benchmark profile. Throws
-/// std::invalid_argument for unknown benchmark names and malformed counts.
-FlowSetup parse_setup(const util::Args& args);
+/// Parse the common options and resolve the benchmark profile. `extra`
+/// lists the command's own flags; any flag outside the common ones and
+/// `extra` throws std::invalid_argument, so a flag the command would not
+/// read fails instead of being ignored. So do unknown benchmark names and
+/// malformed numbers.
+FlowSetup parse_setup(const util::Args& args,
+                      std::initializer_list<const char*> extra);
 
 /// --patterns, strictly parsed and at least 1: zero patterns would report
 /// OER/HD 0% without simulating anything.

@@ -43,12 +43,14 @@
 #include <climits>
 #include <cstdio>
 #include <exception>
+#include <initializer_list>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <tuple>
 #include <utility>
+#include <vector>
 
 namespace sm::cli {
 namespace {
@@ -155,6 +157,13 @@ std::string out_path(const util::Args& args, const std::string& key) {
   return v == "true" ? "-" : v;
 }
 
+/// CCR as printed: "n/a" when the split left no open sink, where
+/// ProximityResult::ccr() reads 1.0 by convention (sweep::Mean::pct prints
+/// the same for a group with no such cell).
+std::string ccr_pct(const attack::ProximityResult& res, double ccr) {
+  return res.open_sinks ? util::Table::pct(100 * ccr, 1) : "n/a";
+}
+
 attack::ProximityOptions attack_options(const util::Args& args,
                                         const FlowSetup& setup) {
   attack::ProximityOptions a;
@@ -241,11 +250,11 @@ int cmd_attack(const util::Args& args, const FlowSetup& setup) {
     const auto res = attack::proximity_attack(sized, sized,
                                               original.placement, view,
                                               nullptr, opts);
-    std::printf("attack on unprotected %s (split M%d): CCR %.1f%%, "
+    std::printf("attack on unprotected %s (split M%d): CCR %s, "
                 "OER %.1f%%, HD %.1f%%  (%zu/%zu sinks correct)\n",
-                setup.bench.c_str(), setup.split_layer, 100 * res.ccr(),
-                100 * res.rates.oer, 100 * res.rates.hd, res.correct,
-                res.open_sinks);
+                setup.bench.c_str(), setup.split_layer,
+                ccr_pct(res, res.ccr()).c_str(), 100 * res.rates.oer,
+                100 * res.rates.hd, res.correct, res.open_sinks);
     return 0;
   }
 
@@ -255,10 +264,11 @@ int cmd_attack(const util::Args& args, const FlowSetup& setup) {
       attack::proximity_attack(design.erroneous, design.restored,
                                design.layout.placement, view, &design.ledger,
                                opts);
-  std::printf("attack on protected %s (split M%d): CCR %.1f%%, "
-              "CCR(randomized nets) %.1f%%, OER %.1f%%, HD %.1f%%\n",
-              setup.bench.c_str(), setup.split_layer, 100 * res.ccr(),
-              100 * res.ccr_protected(), 100 * res.rates.oer,
+  std::printf("attack on protected %s (split M%d): CCR %s, "
+              "CCR(randomized nets) %s, OER %.1f%%, HD %.1f%%\n",
+              setup.bench.c_str(), setup.split_layer,
+              ccr_pct(res, res.ccr()).c_str(),
+              ccr_pct(res, res.ccr_protected()).c_str(), 100 * res.rates.oer,
               100 * res.rates.hd);
   return 0;
 }
@@ -287,13 +297,13 @@ int cmd_report(const util::Args& args, const FlowSetup& setup) {
               design.restored_ok ? "EQUIVALENT" : "FAILED");
   util::Table table({"Layout", "CCR", "OER", "HD", "Power uW", "Delay ps",
                      "Wirelength um"});
-  table.add_row({"original", util::Table::pct(100 * r0.ccr(), 1),
+  table.add_row({"original", ccr_pct(r0, r0.ccr()),
                  util::Table::pct(100 * r0.rates.oer, 1),
                  util::Table::pct(100 * r0.rates.hd, 1),
                  util::Table::num(original.ppa.total_power_uw(), 1),
                  util::Table::num(original.ppa.critical_path_ps, 0),
                  util::Table::num(original.ppa.wirelength_um, 0)});
-  table.add_row({"proposed", util::Table::pct(100 * rp.ccr_protected(), 1),
+  table.add_row({"proposed", ccr_pct(rp, rp.ccr_protected()),
                  util::Table::pct(100 * rp.rates.oer, 1),
                  util::Table::pct(100 * rp.rates.hd, 1),
                  util::Table::num(design.layout.ppa.total_power_uw(), 1),
@@ -303,12 +313,13 @@ int cmd_report(const util::Args& args, const FlowSetup& setup) {
   return design.restored_ok ? 0 : 1;
 }
 
-/// Grid + patterns parsing shared by `sweep` and `materialize` — the two
-/// must expand identical cells (and therefore identical config hashes) for
-/// the same flags, or a materialize could never find what a sweep stored.
-sweep::Grid grid_from_args(const util::Args& args, bool quick) {
-  sweep::Grid grid =
-      args.has("grid") ? sweep::Grid::parse(args.get("grid", "")) : sweep::Grid{};
+/// Grid parsing shared by `sweep`, `materialize` and `serve` — they must
+/// expand identical cells (and therefore identical config hashes) for the
+/// same flags, or a materialize could never find what a sweep stored.
+/// `extra` lists the command's own flags; any flag outside the grid flags,
+/// --quick, --patterns and `extra` throws std::invalid_argument.
+sweep::Grid grid_from_args(const util::Args& args, bool quick,
+                           std::initializer_list<const char*> extra) {
   // Same validated parsing as the --grid spec (sweep::Grid::set), so
   // malformed values fail loudly instead of being silently truncated. The
   // singular forms every other subcommand takes (--bench/--seed/
@@ -321,6 +332,13 @@ sweep::Grid grid_from_args(const util::Args& args, bool quick) {
       {"defenses", "defenses"},     {"attackers", "attackers"},
       {"attacker", "attackers"},
   };
+  std::vector<std::string> known{"grid", "scale", "quick", "patterns"};
+  for (const auto& [flag, key] : kGridFlags) known.push_back(flag);
+  known.insert(known.end(), extra.begin(), extra.end());
+  args.reject_unknown(known);
+
+  sweep::Grid grid =
+      args.has("grid") ? sweep::Grid::parse(args.get("grid", "")) : sweep::Grid{};
   for (const auto& [flag, key] : kGridFlags)
     if (args.has(flag)) grid.set(key, args.get(flag, ""));
   if (args.has("scale")) grid.set("scale", args.get("scale", ""));
@@ -382,7 +400,10 @@ int export_result(const util::Args& args, const sweep::Result& result) {
 /// hashes and shard assignments) and exits without computing anything.
 int cmd_sweep(const util::Args& args) {
   const bool quick = args.get_bool("quick", false);
-  const sweep::Grid grid = grid_from_args(args, quick);
+  const sweep::Grid grid =
+      grid_from_args(args, quick,
+                     {"jobs", "store", "resume", "shard", "dry-run",
+                      "summary-only", "csv", "json"});
 
   sweep::Options opts;
   opts.jobs = args.get_count("jobs", 1);
@@ -458,7 +479,8 @@ int cmd_materialize(const util::Args& args) {
     throw std::invalid_argument("materialize: --store lists no files");
 
   const bool quick = args.get_bool("quick", false);
-  const sweep::Grid grid = grid_from_args(args, quick);
+  const sweep::Grid grid =
+      grid_from_args(args, quick, {"store", "summary-only", "csv", "json"});
   sweep::Options opts;
   opts.patterns = parse_patterns(args, quick ? 2000 : 100000);
 
@@ -508,7 +530,10 @@ int cmd_materialize(const util::Args& args) {
 /// when it converged degraded (cells quarantined).
 int cmd_serve(const util::Args& args) {
   const bool quick = args.get_bool("quick", false);
-  const sweep::Grid grid = grid_from_args(args, quick);
+  const sweep::Grid grid =
+      grid_from_args(args, quick,
+                     {"store", "workers", "cell-timeout", "max-retries",
+                      "backoff-base", "verbose"});
 
   sweep::ServeOptions sopts;
   sopts.sweep.patterns = parse_patterns(args, quick ? 2000 : 100000);
@@ -568,16 +593,25 @@ int run(int argc, char** argv) {
   if (cmd == "list") return cmd_list();
 
   const util::Args args(argc - 1, argv + 1);
-  // sweep/materialize carry their own grid of benchmarks/seeds/splits; the
-  // single-run FlowSetup does not apply.
+  // sweep/materialize/serve carry their own grid of benchmarks/seeds/
+  // splits; the single-run FlowSetup does not apply.
   if (cmd == "sweep") return cmd_sweep(args);
   if (cmd == "materialize") return cmd_materialize(args);
   if (cmd == "serve") return cmd_serve(args);
-  const FlowSetup setup = parse_setup(args);
-  if (cmd == "protect") return cmd_protect(args, setup);
-  if (cmd == "split") return cmd_split(args, setup);
-  if (cmd == "attack") return cmd_attack(args, setup);
-  if (cmd == "report") return cmd_report(args, setup);
+  // Each single-run command's own flags; attack_options reads the hint
+  // toggles and --candidates.
+  if (cmd == "protect")
+    return cmd_protect(args, parse_setup(args, {"out-verilog", "out-def"}));
+  if (cmd == "split")
+    return cmd_split(args, parse_setup(args, {"out-def", "unprotected"}));
+  if (cmd == "attack")
+    return cmd_attack(
+        args, parse_setup(args, {"unprotected", "no-direction", "no-load",
+                                 "no-loops", "strength-prior", "candidates"}));
+  if (cmd == "report")
+    return cmd_report(
+        args, parse_setup(args, {"no-direction", "no-load", "no-loops",
+                                 "strength-prior", "candidates"}));
   std::fprintf(stderr, "sm_flow: unknown command '%s'\n", cmd.c_str());
   return usage(stderr);
 }

@@ -493,11 +493,15 @@ util::Table Result::table() const {
   util::Table t({"Benchmark", "Seed", "Split", "Defense", "Attacker", "CCR",
                  "CCR(rand)", "OER", "HD", "Open sinks", "E[LS]", "Equiv",
                  "Task ms"});
+  // A cell with no open sink has no CCR to report (Mean::pct's n/a).
+  const auto ccr_pct = [](const Row& r, double ccr) {
+    return r.open_sinks ? util::Table::pct(100 * ccr, 1) : "n/a";
+  };
   for (const auto& r : rows)
     t.add_row({r.benchmark, std::to_string(r.seed),
                "M" + std::to_string(r.split_layer), to_string(r.defense),
-               to_string(r.attacker), util::Table::pct(100 * r.ccr, 1),
-               util::Table::pct(100 * r.ccr_protected, 1),
+               to_string(r.attacker), ccr_pct(r, r.ccr),
+               ccr_pct(r, r.ccr_protected),
                util::Table::pct(100 * r.oer, 1),
                util::Table::pct(100 * r.hd, 1),
                util::Table::count(r.open_sinks), util::Table::num(r.els, 1),

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cstdlib>
+#include <cmath>
 #include <stdexcept>
 
 namespace sm::util {
@@ -33,35 +33,57 @@ std::string Args::get(const std::string& key, const std::string& fallback) const
   return it == kv_.end() ? fallback : it->second;
 }
 
+namespace {
+
+/// `parse(v, &used)` over all of `v` (a std::sto* call); throws
+/// std::invalid_argument naming the flag unless it parses every character
+/// into a value `ok` accepts.
+template <class Parse, class Ok>
+auto parse_whole(const std::string& key, const std::string& v, Parse parse,
+                 Ok ok, const char* expected) {
+  std::size_t used = 0;
+  decltype(parse(v, &used)) parsed{};
+  try {
+    parsed = parse(v, &used);
+  } catch (const std::exception&) {
+    used = 0;
+  }
+  if (v.empty() || used != v.size() || !ok(parsed))
+    throw std::invalid_argument("--" + key + ": expected " + expected +
+                                ", got '" + v + "'");
+  return parsed;
+}
+
+}  // namespace
+
 std::int64_t Args::get_int(const std::string& key, std::int64_t fallback) const {
   const auto it = kv_.find(key);
-  return it == kv_.end() ? fallback : std::strtoll(it->second.c_str(), nullptr, 10);
+  if (it == kv_.end()) return fallback;
+  return parse_whole(
+      key, it->second,
+      [](const std::string& v, std::size_t* n) { return std::stoll(v, n); },
+      [](long long) { return true; }, "an integer");
 }
 
 double Args::get_double(const std::string& key, double fallback) const {
   const auto it = kv_.find(key);
-  return it == kv_.end() ? fallback : std::strtod(it->second.c_str(), nullptr);
+  if (it == kv_.end()) return fallback;
+  return parse_whole(
+      key, it->second,
+      [](const std::string& v, std::size_t* n) { return std::stod(v, n); },
+      [](double d) { return std::isfinite(d); }, "a finite number");
 }
 
 std::size_t Args::get_count(const std::string& key,
                             std::size_t fallback) const {
   const auto it = kv_.find(key);
   if (it == kv_.end()) return fallback;
-  const std::string& v = it->second;
-  unsigned long long parsed = 0;
-  std::size_t used = 0;
-  if (!v.empty() && std::isdigit(static_cast<unsigned char>(v[0]))) {
-    try {
-      parsed = std::stoull(v, &used);
-    } catch (const std::exception&) {
-      used = 0;
-    }
-  }
-  if (v.empty() || used != v.size())
-    throw std::invalid_argument("--" + key +
-                                ": expected a non-negative integer, got '" +
-                                v + "'");
-  return static_cast<std::size_t>(parsed);
+  // Plain digits only: std::stoull would accept a sign and wrap "-1".
+  const bool digit = std::isdigit(static_cast<unsigned char>(it->second[0]));
+  return static_cast<std::size_t>(parse_whole(
+      key, it->second,
+      [](const std::string& v, std::size_t* n) { return std::stoull(v, n); },
+      [&](unsigned long long) { return digit; }, "a non-negative integer"));
 }
 
 void Args::reject_unknown(const std::vector<std::string>& known) const {

@@ -16,12 +16,16 @@ class Args {
 
   bool has(const std::string& key) const;
   std::string get(const std::string& key, const std::string& fallback) const;
+  /// The whole value as an integer (sign allowed). Throws
+  /// std::invalid_argument naming the flag on anything else.
   std::int64_t get_int(const std::string& key, std::int64_t fallback) const;
+  /// The whole value as a finite number. Throws std::invalid_argument
+  /// naming the flag on anything else, inf and nan included.
   double get_double(const std::string& key, double fallback) const;
   bool get_bool(const std::string& key, bool fallback) const;
   /// Strictly parsed non-negative integer (plain digits only). Throws
-  /// std::invalid_argument on anything else — get_int maps garbage to 0 and
-  /// lets negatives through, the wrong failure mode for counts like --jobs.
+  /// std::invalid_argument on anything else — get_int lets negatives
+  /// through, the wrong failure mode for counts like --jobs.
   std::size_t get_count(const std::string& key, std::size_t fallback) const;
   /// Throws std::invalid_argument naming a key not in `known`, so a flag
   /// the caller would never read fails instead of being ignored.

@@ -323,8 +323,10 @@ TEST(AttackUnits, SpatialIndexMatchesBruteForceWithDiagonalStubsLowBonus) {
   // Regression for the pruning bound: RandomRig emits diagonal stub
   // directions, whose cosine against the unnormalized dir vector reaches
   // sqrt(2) — a floor derived from cos <= 1 over-prunes once
-  // direction_bonus drops. The sound floor is 1 - (1-bonus)*sqrt(2).
-  for (const double bonus : {0.3, 0.45, 0.6}) {
+  // direction_bonus drops. The sound floor is 1 - (1-bonus)*sqrt(2). At
+  // 0.1 it is negative: both runs scan brute force, and the pair costs
+  // that go negative must still reach the solver, which takes none.
+  for (const double bonus : {0.1, 0.3, 0.45, 0.6}) {
     for (const std::uint64_t seed : {5u, 23u, 41u, 77u}) {
       RandomRig rig(120, 150, seed);
       attack::ProximityOptions opts;
@@ -349,7 +351,6 @@ TEST(AttackUnits, SpatialIndexMatchesBruteForceWithAllHints) {
   opts.eval_patterns = 256;
   opts.candidates_per_sink = 6;
   opts.use_strength_prior = true;  // exercises the prior term of the bound
-  opts.anchor_weight = 0.1;        // and the anchor term
   auto run = [&](int threshold) {
     opts.index_min_drivers = threshold;
     return attack::proximity_attack(rig.nl, rig.nl, rig.pl, rig.view, nullptr,

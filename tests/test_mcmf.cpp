@@ -1,7 +1,7 @@
 // Min-cost max-flow kernel tests (the matching engine of the network-flow
-// proximity attack): cold-solve correctness, the incremental warm-start API
-// (remove_edge/update_edge/resolve), and the randomized cold==warm equality
-// harness the ISSUE-10 determinism contract rests on.
+// proximity attack): cold-solve correctness, the warm remove_edge/resolve
+// rounds, the calls the solver rejects, and the randomized cold==warm
+// equality harness the attack's loop repair rests on.
 #include "attack/mcmf.hpp"
 
 #include "util/rng.hpp"
@@ -118,42 +118,24 @@ TEST(Mcmf, MaxFlowSmallerThanSaturation) {
   EXPECT_EQ(f.flow_on(rich), 0);
 }
 
-TEST(Mcmf, SolveBudgetAccumulates) {
-  // Two solve(s, t, 1) calls equal one solve(s, t, 2): the budget is
-  // cumulative and each call only routes the *additional* units.
-  MinCostFlow inc(5);
-  MinCostFlow once(5);
-  for (MinCostFlow* f : {&inc, &once}) {
-    f->add_edge(0, 1, 2, 1.0);
-    f->add_edge(1, 4, 2, 1.0);
-    f->add_edge(0, 2, 1, 5.0);
-    f->add_edge(2, 4, 1, 5.0);
-  }
-  inc.solve(0, 4, 1);
-  const auto [fi, ci] = inc.solve(0, 4, 1);
-  const auto [fo, co] = once.solve(0, 4, 2);
-  EXPECT_EQ(fi, fo);
-  EXPECT_EQ(ci, co);  // identical flows => identical edge-order cost sum
-}
-
 TEST(Mcmf, ZeroCapacityArcsAreInert) {
-  // Zero-capacity arcs (pre-solve and post-solve) never carry flow and
-  // never divert the search, however cheap they claim to be.
+  // Zero-capacity arcs never carry flow and never divert the search, however
+  // cheap they are; removing one after the solve changes nothing.
   MinCostFlow f(4);
-  const int dead = f.add_edge(0, 2, 0, -100.0);
+  const int dead = f.add_edge(0, 2, 0, 0.0);
   const int a = f.add_edge(0, 1, 1, 1.0);
   const int b = f.add_edge(1, 3, 1, 1.0);
-  const int dead2 = f.add_edge(2, 3, 0, -100.0);
+  const int dead2 = f.add_edge(2, 3, 0, 0.0);
   const auto [flow, cost] = f.solve(0, 3, 2);
   EXPECT_EQ(flow, 1);
   EXPECT_DOUBLE_EQ(cost, 2.0);
   EXPECT_EQ(f.flow_on(dead), 0);
   EXPECT_EQ(f.flow_on(dead2), 0);
-  const int dead3 = f.add_edge(0, 3, 0, -100.0);  // post-solve, still cap 0
+  f.remove_edge(dead);
   const auto [flow2, cost2] = f.resolve();
   EXPECT_EQ(flow2, 1);
   EXPECT_DOUBLE_EQ(cost2, 2.0);
-  EXPECT_EQ(f.flow_on(dead3), 0);
+  EXPECT_EQ(f.flow_on(dead), 0);
   EXPECT_EQ(f.flow_on(a), 1);
   EXPECT_EQ(f.flow_on(b), 1);
 }
@@ -190,108 +172,36 @@ TEST(Mcmf, RemoveLastPathDropsFlow) {
   EXPECT_DOUBLE_EQ(cost, 0.0);
 }
 
-TEST(Mcmf, UpdateEdgeNegativeReducedCostResidual) {
-  // Post-solve cost updates that flip residual reduced costs negative (both
-  // directions: a now-attractive empty arc, and a now-overpriced carrying
-  // arc) must leave resolve() at the cold optimum of the updated network.
-  MinCostFlow f(4);
-  const int top = f.add_edge(0, 1, 1, 1.0);
-  const int top2 = f.add_edge(1, 3, 1, 1.0);
-  const int bot = f.add_edge(0, 2, 1, 5.0);
-  const int bot2 = f.add_edge(2, 3, 1, 5.0);
-  f.solve(0, 3, 1);
-  ASSERT_EQ(f.flow_on(top), 1);
-  // Make the carried path expensive and the empty one attractive — the
-  // updated forward arc 0->2 now has negative reduced cost against the old
-  // potentials, and the reverse of 0->1 does as well.
-  f.update_edge(top, 1, 50.0);
-  f.update_edge(bot, 1, 0.5);
-  const auto [flow, cost] = f.resolve();
-  EXPECT_EQ(flow, 1);
-  EXPECT_DOUBLE_EQ(cost, 5.5);
-  EXPECT_EQ(f.flow_on(top), 0);
-  EXPECT_EQ(f.flow_on(top2), 0);
-  EXPECT_EQ(f.flow_on(bot), 1);
-  EXPECT_EQ(f.flow_on(bot2), 1);
-}
-
-TEST(Mcmf, CapacityBelowFlowPushesOverhangBack) {
-  // Shrinking a carrying edge below its flow must shed exactly the
-  // overhang; the remaining capacity keeps flowing.
-  MinCostFlow f(3);
-  const int e0 = f.add_edge(0, 1, 3, 1.0);
-  const int e1 = f.add_edge(1, 2, 3, 1.0);
-  f.solve(0, 2, 3);
-  ASSERT_EQ(f.flow_on(e0), 3);
-  f.update_edge(e0, 1, 1.0);
-  const auto [flow, cost] = f.resolve();
-  EXPECT_EQ(flow, 1);
-  EXPECT_DOUBLE_EQ(cost, 2.0);
-  EXPECT_EQ(f.flow_on(e0), 1);
-  EXPECT_EQ(f.flow_on(e1), 1);
-}
-
-TEST(Mcmf, AddEdgeAfterSolveParticipates) {
-  // A cheaper edge added post-solve (negative reduced cost on arrival) must
-  // take over the unit on resolve().
-  MinCostFlow f(4);
-  const int rich = f.add_edge(0, 2, 1, 5.0);
-  const int rich2 = f.add_edge(2, 3, 1, 5.0);
-  f.solve(0, 3, 1);
-  ASSERT_EQ(f.flow_on(rich), 1);
-  const int cheap = f.add_edge(0, 1, 1, 1.0);
-  const int cheap2 = f.add_edge(1, 3, 1, 1.0);
-  const auto [flow, cost] = f.resolve();
-  EXPECT_EQ(flow, 1);
-  EXPECT_DOUBLE_EQ(cost, 2.0);
-  EXPECT_EQ(f.flow_on(cheap), 1);
-  EXPECT_EQ(f.flow_on(cheap2), 1);
-  EXPECT_EQ(f.flow_on(rich), 0);
-  EXPECT_EQ(f.flow_on(rich2), 0);
-}
-
-TEST(Mcmf, NegativeCostEdgesSolveCold) {
-  // Pre-solve negative costs route through the Bellman-Ford potential
-  // bootstrap (the graph is acyclic, so no negative cycle exists).
-  MinCostFlow f(3);
-  f.add_edge(0, 1, 1, -5.0);
-  f.add_edge(1, 2, 1, 1.0);
-  const auto [flow, cost] = f.solve(0, 2, 1);
-  EXPECT_EQ(flow, 1);
-  EXPECT_DOUBLE_EQ(cost, -4.0);
-}
-
-TEST(Mcmf, NegativeCycleThrows) {
-  MinCostFlow f(3);
-  f.add_edge(0, 1, 1, 1.0);
-  f.add_edge(1, 2, 1, -3.0);
-  f.add_edge(2, 1, 1, 1.0);  // 1 -> 2 -> 1 costs -2
-  EXPECT_THROW(f.solve(0, 2, 1), std::logic_error);
-}
-
 TEST(Mcmf, ApiMisuseThrows) {
+  // Each call the attack never makes is rejected before it changes state.
   MinCostFlow f(3);
   const int e = f.add_edge(0, 1, 1, 1.0);
   f.add_edge(1, 2, 1, 1.0);
-  EXPECT_THROW(f.resolve(), std::logic_error);       // resolve before solve
+  EXPECT_THROW(f.add_edge(0, 2, 1, -1.0), std::invalid_argument);  // cost < 0
+  EXPECT_THROW(f.add_edge(0, 2, -1, 1.0), std::invalid_argument);  // cap < 0
+  EXPECT_THROW(f.remove_edge(e), std::logic_error);   // remove before solve
+  EXPECT_THROW(f.resolve(), std::logic_error);        // resolve before solve
   EXPECT_THROW(f.solve(0, 0, 1), std::invalid_argument);  // s == t
-  EXPECT_THROW(f.update_edge(e, -1, 1.0), std::invalid_argument);
-  f.solve(0, 2, 1);
-  EXPECT_THROW(f.solve(1, 2, 1), std::logic_error);  // terminals are fixed
+  EXPECT_THROW(f.solve(0, 1, 1), std::invalid_argument);  // 1 -> 2 leaves t
+  EXPECT_EQ(f.solve(0, 2, 1).first, 1);
+  EXPECT_THROW(f.solve(0, 2, 1), std::logic_error);          // second solve
+  EXPECT_THROW(f.add_edge(0, 2, 1, 1.0), std::logic_error);  // after solve
+  EXPECT_EQ(f.flow(), 1);
+  EXPECT_EQ(f.flow_on(e), 1);
 }
 
-// The cold==warm equality harness: random assignment-shaped networks, a
-// random history of post-solve perturbations (edge removals, capacity and
-// cost updates, late edge additions, extra budget), then a bitwise
-// comparison of the warm solver's final state against a cold solver built
-// directly on the final network. Not merely equal cost — every edge's flow
-// must match, which is the property the attack's loop-repair rounds rely
-// on. Costs follow the warm-start contract's integer-exact domain (as the
-// attack's do): a random integer base in the high bits plus 28 random
-// tie-break bits in the low bits, so every sum the solver forms is an
-// exact integer below 2^53 and the optimum is unique by the isolation
-// lemma — the pinned (cost, node, edge-id) tie-break has nothing left to
-// decide.
+// The cold==warm equality harness: random assignment-shaped networks, one
+// solve, then rounds that each remove a few random edges (source, candidate
+// and sink arcs alike) and resolve warm. After every round the warm
+// solver's state is compared bitwise against a cold solver built directly
+// on the network so far, with each removed edge at capacity 0 so edge ids
+// line up. Not merely equal cost — every edge's flow must match, which is
+// the property the attack's loop-repair rounds rely on. Costs follow the
+// warm-start contract's integer-exact domain (as the attack's do): a
+// random integer base in the high bits plus 28 random tie-break bits in
+// the low bits, so every sum the solver forms is an exact integer below
+// 2^53 and the optimum is unique by the isolation lemma — the pinned
+// (cost, node, edge-id) tie-break has nothing left to decide.
 TEST(Mcmf, RandomizedColdEqualsWarm) {
   constexpr int kTrials = 1200;
   std::size_t perturbations = 0;
@@ -314,7 +224,6 @@ TEST(Mcmf, RandomizedColdEqualsWarm) {
       const int id = warm.add_edge(from, to, cap, cost);
       EXPECT_EQ(id, static_cast<int>(specs.size()));
       specs.push_back({from, to, cap, cost});
-      return id;
     };
     const auto rand_cost = [&] {
       // Integer-valued doubles, base * 2^28 + 28 random low bits: exact
@@ -334,63 +243,35 @@ TEST(Mcmf, RandomizedColdEqualsWarm) {
             rand_cost());
       }
 
-    int budget = static_cast<int>(rng.range(1, ns));
+    const int budget = static_cast<int>(rng.range(1, ns));
     warm.solve(S, T, budget);
 
+    std::vector<int> live(specs.size());
+    for (std::size_t id = 0; id < live.size(); ++id)
+      live[id] = static_cast<int>(id);
     const int rounds = static_cast<int>(rng.range(1, 4));
-    for (int round = 0; round < rounds; ++round) {
+    for (int round = 0; round < rounds && !live.empty(); ++round) {
       const int ops = static_cast<int>(rng.range(1, 4));
-      for (int op = 0; op < ops; ++op, ++perturbations) {
-        switch (rng.range(0, 3)) {
-          case 0: {  // remove a random edge (capacity 0, cost kept)
-            const auto id = static_cast<std::size_t>(
-                rng.below(specs.size()));
-            warm.remove_edge(static_cast<int>(id));
-            specs[id].cap = 0;
-            break;
-          }
-          case 1: {  // re-cost / re-size a random edge
-            const auto id = static_cast<std::size_t>(
-                rng.below(specs.size()));
-            const int cap = static_cast<int>(rng.range(0, 3));
-            // Occasionally negative: the graph is a DAG, so any cost sign
-            // is cycle-safe, and negative reduced costs must saturate.
-            // The offset is itself an exact integer so the cost domain
-            // stays integer-valued.
-            const double cost =
-                rand_cost() - (rng.uniform() < 0.2 ? 50.0 * 268435456.0 : 0.0);
-            warm.update_edge(static_cast<int>(id), cap, cost);
-            specs[id].cap = cap;
-            specs[id].cost = cost;
-            break;
-          }
-          case 2: {  // late candidate edge
-            const int si = static_cast<int>(rng.range(0, ns - 1));
-            const int di = static_cast<int>(rng.range(0, nd - 1));
-            add(sink_node(si), drv_node(di),
-                static_cast<int>(rng.range(0, 2)), rand_cost());
-            break;
-          }
-          default: {  // grow the budget
-            const int extra = static_cast<int>(rng.range(1, 2));
-            budget += extra;
-            warm.solve(S, T, extra);
-            break;
-          }
-        }
+      for (int op = 0; op < ops && !live.empty(); ++op, ++perturbations) {
+        const auto pick = static_cast<std::size_t>(rng.below(live.size()));
+        const int id = live[pick];
+        live[pick] = live.back();
+        live.pop_back();
+        warm.remove_edge(id);
+        specs[static_cast<std::size_t>(id)].cap = 0;
       }
       warm.resolve();
-    }
 
-    MinCostFlow cold(n);
-    for (const auto& s : specs) cold.add_edge(s.from, s.to, s.cap, s.cost);
-    const auto [cf, cc] = cold.solve(S, T, budget);
-    EXPECT_EQ(cf, warm.flow()) << "trial " << trial;
-    EXPECT_EQ(cc, warm.cost()) << "trial " << trial;
-    for (std::size_t id = 0; id < specs.size(); ++id)
-      ASSERT_EQ(cold.flow_on(static_cast<int>(id)),
-                warm.flow_on(static_cast<int>(id)))
-          << "trial " << trial << " edge " << id;
+      MinCostFlow cold(n);
+      for (const auto& s : specs) cold.add_edge(s.from, s.to, s.cap, s.cost);
+      const auto [cf, cc] = cold.solve(S, T, budget);
+      EXPECT_EQ(cf, warm.flow()) << "trial " << trial << " round " << round;
+      EXPECT_EQ(cc, warm.cost()) << "trial " << trial << " round " << round;
+      for (std::size_t id = 0; id < specs.size(); ++id)
+        ASSERT_EQ(cold.flow_on(static_cast<int>(id)),
+                  warm.flow_on(static_cast<int>(id)))
+            << "trial " << trial << " round " << round << " edge " << id;
+    }
     // Feasibility invariants, independent of the cold reference.
     std::vector<int> net(static_cast<std::size_t>(n), 0);
     for (std::size_t id = 0; id < specs.size(); ++id) {
@@ -402,9 +283,10 @@ TEST(Mcmf, RandomizedColdEqualsWarm) {
     }
     ASSERT_EQ(net[static_cast<std::size_t>(T)], warm.flow());
     ASSERT_EQ(net[static_cast<std::size_t>(S)], -warm.flow());
+    ASSERT_LE(warm.flow(), budget);
     for (int v = 2; v < n; ++v) ASSERT_EQ(net[static_cast<std::size_t>(v)], 0);
   }
-  // The harness must actually exercise the incremental API at scale.
+  // The harness must actually exercise the removal rounds at scale.
   EXPECT_GE(perturbations, 1000u);
 }
 

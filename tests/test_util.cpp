@@ -11,6 +11,7 @@
 #include <array>
 #include <set>
 #include <stdexcept>
+#include <string>
 
 namespace {
 
@@ -199,14 +200,33 @@ TEST(Args, Fallbacks) {
 }
 
 TEST(Args, GetCountRejectsNegativeAndGarbage) {
-  const char* argv[] = {"prog", "--jobs=4", "--bad=-1", "--worse=abc",
-                        "--trail=4x"};
-  Args args(5, argv);
+  const char* argv[] = {"prog",        "--jobs=4",  "--bad=-1",
+                        "--worse=abc", "--trail=4x", "--scale=0.25",
+                        "--big=inf",   "--nan=nan"};
+  Args args(8, argv);
   EXPECT_EQ(args.get_count("jobs", 1), 4u);
   EXPECT_EQ(args.get_count("missing", 7), 7u);
   EXPECT_THROW(args.get_count("bad", 1), std::invalid_argument);
   EXPECT_THROW(args.get_count("worse", 1), std::invalid_argument);
   EXPECT_THROW(args.get_count("trail", 1), std::invalid_argument);
+  // get_int and get_double parse the whole token too, instead of reading
+  // garbage as 0; get_int takes a sign, get_double only finite numbers.
+  EXPECT_EQ(args.get_int("bad", 1), -1);
+  EXPECT_THROW(args.get_int("worse", 1), std::invalid_argument);
+  EXPECT_THROW(args.get_int("trail", 1), std::invalid_argument);
+  EXPECT_THROW(args.get_int("scale", 1), std::invalid_argument);
+  EXPECT_DOUBLE_EQ(args.get_double("scale", 1.0), 0.25);
+  EXPECT_DOUBLE_EQ(args.get_double("bad", 1.0), -1.0);
+  EXPECT_THROW(args.get_double("worse", 1.0), std::invalid_argument);
+  EXPECT_THROW(args.get_double("trail", 1.0), std::invalid_argument);
+  EXPECT_THROW(args.get_double("big", 1.0), std::invalid_argument);
+  EXPECT_THROW(args.get_double("nan", 1.0), std::invalid_argument);
+  try {
+    args.get_int("worse", 1);
+    FAIL() << "--worse accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "--worse: expected an integer, got 'abc'");
+  }
 }
 
 TEST(Args, RejectUnknownNamesTheStrayKey) {
