@@ -16,8 +16,9 @@
 int main(int argc, char** argv) {
   using namespace sm;
   const util::Args args(argc, argv);
+  args.reject_unknown({"bench", "seed"});
   const std::string bench = args.get("bench", "c2670");
-  const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
+  const auto seed = args.get_count("seed", 1);
 
   netlist::CellLibrary lib{6};
   const auto nl =

@@ -18,10 +18,11 @@
 int main(int argc, char** argv) {
   using namespace sm;
   const util::Args args(argc, argv);
+  args.reject_unknown({"bench", "budget", "outdir", "seed"});
   const std::string bench = args.get("bench", "c1908");
   const double budget = args.get_double("budget", 20.0);
   const std::string outdir = args.get("outdir", "/tmp");
-  const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
+  const auto seed = args.get_count("seed", 1);
 
   netlist::CellLibrary lib{6};
   const auto nl =

@@ -17,9 +17,10 @@
 int main(int argc, char** argv) {
   using namespace sm;
   const util::Args args(argc, argv);
+  args.reject_unknown({"bench", "scale", "seed"});
   const std::string bench = args.get("bench", "superblue18");
   const double scale = args.get_double("scale", 0.01);
-  const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
+  const auto seed = args.get_count("seed", 1);
 
   const auto spec = workloads::superblue_profile(bench, scale);
   netlist::CellLibrary lib{8};  // correction pins in M8

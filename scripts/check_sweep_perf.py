@@ -60,7 +60,7 @@ def store_wall_ms(path):
     not one. Splits of one task share the task's wall, so records are
     deduped by (benchmark, seed, defense) with last-wins — the same merge
     rule load_store applies — before summing. Torn tail lines (a crashed
-    shard) are skipped, like the store loader does."""
+    run) are skipped, like the store loader does."""
     walls = {}
     try:
         with open(path) as fh:

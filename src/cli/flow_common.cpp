@@ -1,7 +1,9 @@
 #include "cli/flow_common.hpp"
 
+#include "netlist/tech.hpp"
 #include "sweep/sweep.hpp"
 
+#include <climits>
 #include <fstream>
 #include <iostream>
 #include <stdexcept>
@@ -9,6 +11,22 @@
 #include <vector>
 
 namespace sm::cli {
+namespace {
+
+/// `--key` as a whole count in [lo, hi], range-checked before it narrows to
+/// int, so 2^32 + 3 cannot wrap to 3.
+int get_int_in(const util::Args& args, const std::string& key, int fallback,
+               int lo, int hi) {
+  const std::size_t v =
+      args.get_count(key, static_cast<std::size_t>(fallback));
+  if (v < static_cast<std::size_t>(lo) || v > static_cast<std::size_t>(hi))
+    throw std::invalid_argument("--" + key + ": expected " +
+                                std::to_string(lo) + "-" + std::to_string(hi) +
+                                ", got " + std::to_string(v));
+  return static_cast<int>(v);
+}
+
+}  // namespace
 
 FlowSetup parse_setup(const util::Args& args,
                       std::initializer_list<const char*> extra) {
@@ -22,7 +40,10 @@ FlowSetup parse_setup(const util::Args& args,
   s.bench = args.get("bench", s.bench);
   s.scale = args.get_double("scale", s.scale);
   s.seed = args.get_count("seed", 1);
-  s.split_layer = static_cast<int>(args.get_int("split-layer", s.split_layer));
+  // A split after the top layer would leave no BEOL to hide anything in.
+  constexpr int kLayers = netlist::MetalStack::kNumLayers;
+  s.split_layer = get_int_in(args, "split-layer", s.split_layer, 1,
+                             kLayers - 1);
   s.patterns = parse_patterns(args, s.patterns);
 
   // The sweep's flow recipe, with this run's flags on top.
@@ -30,19 +51,14 @@ FlowSetup parse_setup(const util::Args& args,
   s.spec = sweep::task_spec(s.bench, workload, s.scale);
   s.flow = sweep::task_flow(s.bench, workload, s.seed, s.scale);
   s.flow.lift_layer =
-      static_cast<int>(args.get_int("lift-layer", s.flow.lift_layer));
+      get_int_in(args, "lift-layer", s.flow.lift_layer, 1, kLayers);
   s.flow.buffering = args.get_bool("buffering", false);
 
-  // Layout-engine knobs, strictly validated like the sweep's numeric flags
-  // (get_count throws on anything but plain digits).
-  const std::size_t route_passes = args.get_count(
-      "route-passes", static_cast<std::size_t>(s.flow.router.passes));
-  if (route_passes == 0)
-    throw std::invalid_argument("--route-passes must be >= 1");
-  s.flow.router.passes = static_cast<int>(route_passes);
-  if (args.has("detailed-passes"))
-    s.flow.placer.detailed_passes =
-        static_cast<int>(args.get_count("detailed-passes", 0));
+  // Layout-engine knobs, strictly validated like the sweep's numeric flags.
+  s.flow.router.passes =
+      get_int_in(args, "route-passes", s.flow.router.passes, 1, INT_MAX);
+  s.flow.placer.detailed_passes = get_int_in(
+      args, "detailed-passes", s.flow.placer.detailed_passes, 0, INT_MAX);
 
   s.rand_opts = sweep::task_randomize(s.seed);
   s.rand_opts.target_oer =

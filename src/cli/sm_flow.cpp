@@ -15,8 +15,8 @@
 //                      thread (util::parallel_for); bit-identical metrics
 //                      for any --jobs value. With --store the sweep
 //                      appends every completed cell to an append-only
-//                      JSONL log (crash-safe resume via --resume,
-//                      deterministic --shard i/N splits).
+//                      JSONL log (crash-safe resume via --resume);
+//                      logs of sub-grids run apart merge into one store.
 //   sm_flow materialize — rebuild the sweep tables from store logs alone.
 //   sm_flow serve    — fault-tolerant sweep supervisor: dispatches missing
 //                      grid cells to child `sm_flow sweep` worker processes
@@ -48,7 +48,6 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
-#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -89,10 +88,8 @@ int usage(std::FILE* to) {
       "            JSONL result log keyed by config hash (fsync per cell)\n"
       "            [--resume] skip cells already in the store, compute only\n"
       "            the missing ones (bit-identical to a from-scratch run)\n"
-      "            [--shard=i/N] run only task i mod N of the grid; shard\n"
-      "            logs merge (cat) into one store\n"
       "            [--dry-run] print the expanded cell list with config\n"
-      "            hashes and shard assignments, then exit without running\n"
+      "            hashes, then exit without running\n"
       "  materialize  rebuild sweep tables from store logs without running\n"
       "            anything: --store=F[,F2,...] plus the sweep grid flags;\n"
       "            [--csv=F] [--json=F] [--summary-only]\n"
@@ -119,8 +116,8 @@ int usage(std::FILE* to) {
       "  --bench=NAME     ISCAS-85 or superblue profile (default c880)\n"
       "  --scale=F        superblue clone scale (default 0.02)\n"
       "  --seed=N         master seed (default 1)\n"
-      "  --split-layer=N  FEOL/BEOL cut after metal N (default 4)\n"
-      "  --lift-layer=N   correction-cell pin layer (default M6/M8)\n"
+      "  --split-layer=N  FEOL/BEOL cut after metal N, 1-9 (default 4)\n"
+      "  --lift-layer=N   correction-cell pin layer, 1-10 (default M6/M8)\n"
       "  --patterns=N     simulation patterns for OER/HD (default 100000)\n"
       "  --target-oer=F   randomization stop threshold (default 0.995)\n"
       "  --buffering      enable post-placement drive-strength fixing\n"
@@ -352,27 +349,6 @@ sweep::Grid grid_from_args(const util::Args& args, bool quick,
   return grid;
 }
 
-/// "--shard=i/N" → (i, N). Strict: plain digits, one '/', i < N, N >= 1.
-std::pair<std::size_t, std::size_t> parse_shard(const std::string& spec) {
-  const auto slash = spec.find('/');
-  const auto digits = [](const std::string& s) {
-    if (s.empty()) return false;
-    for (const char c : s)
-      if (c < '0' || c > '9') return false;
-    return true;
-  };
-  if (slash == std::string::npos || !digits(spec.substr(0, slash)) ||
-      !digits(spec.substr(slash + 1)))
-    throw std::invalid_argument("sweep: bad --shard '" + spec +
-                                "' (want i/N, e.g. 0/2)");
-  const std::size_t index = std::stoull(spec.substr(0, slash));
-  const std::size_t count = std::stoull(spec.substr(slash + 1));
-  if (count == 0 || index >= count)
-    throw std::invalid_argument("sweep: --shard index " + spec +
-                                " out of range");
-  return {index, count};
-}
-
 void print_result_tables(const util::Args& args, const sweep::Result& result) {
   if (!args.has("summary-only"))
     std::fputs(result.table().render().c_str(), stdout);
@@ -395,43 +371,35 @@ int export_result(const util::Args& args, const sweep::Result& result) {
 /// --defenses (individual flags override the --grid spec), run it over
 /// --jobs threads, print the per-cell and summary tables, and export CSV/
 /// JSON on request. --quick clips the default grid for smoke runs.
-/// --store/--resume/--shard bring in the event-sourced result log
+/// --store/--resume bring in the event-sourced result log
 /// (sweep/store.hpp); --dry-run prints the expanded cell list (with config
-/// hashes and shard assignments) and exits without computing anything.
+/// hashes) and exits without computing anything.
 int cmd_sweep(const util::Args& args) {
   const bool quick = args.get_bool("quick", false);
   const sweep::Grid grid =
       grid_from_args(args, quick,
-                     {"jobs", "store", "resume", "shard", "dry-run",
-                      "summary-only", "csv", "json"});
+                     {"jobs", "store", "resume", "dry-run", "summary-only",
+                      "csv", "json"});
 
   sweep::Options opts;
   opts.jobs = args.get_count("jobs", 1);
   opts.patterns = parse_patterns(args, quick ? 2000 : 100000);
   opts.store_path = args.has("store") ? args.get("store", "") : "";
   opts.resume = args.get_bool("resume", false);
-  if (args.has("shard"))
-    std::tie(opts.shard_index, opts.shard_count) =
-        parse_shard(args.get("shard", ""));
   if (opts.resume && opts.store_path.empty())
     throw std::invalid_argument("sweep: --resume requires --store=FILE");
 
   if (args.get_bool("dry-run", false)) {
-    // Shard planning / store debugging view: every cell the flags expand
-    // to, its config hash (the store key), and which shard would run it.
+    // Planning / store debugging view: every cell the flags expand to and
+    // its config hash (the store key).
     const auto cells = sweep::expand_cells(grid, opts);
     std::printf("sweep dry run: %zu cells (%zu benchmarks x %zu seeds x "
-                "%zu splits x %zu defenses x %zu attackers), %zu shards\n",
+                "%zu splits x %zu defenses x %zu attackers)\n",
                 cells.size(), grid.benchmarks.size(), grid.seeds.size(),
                 grid.split_layers.size(), grid.defenses.size(),
-                grid.attackers.size(), opts.shard_count);
-    for (const auto& cell : cells) {
-      const std::size_t shard = cell.task_index % opts.shard_count;
-      const bool mine = shard == opts.shard_index;
-      std::printf("  shard %zu%s  %s\n", shard,
-                  opts.shard_count > 1 ? (mine ? " *" : "  ") : "",
-                  sweep::describe(cell).c_str());
-    }
+                grid.attackers.size());
+    for (const auto& cell : cells)
+      std::printf("  %s\n", sweep::describe(cell).c_str());
     return 0;
   }
 
@@ -440,8 +408,6 @@ int cmd_sweep(const util::Args& args) {
               grid.combinations(), grid.benchmarks.size(), grid.seeds.size(),
               grid.split_layers.size(), grid.defenses.size(),
               grid.attackers.size(), opts.jobs);
-  if (opts.shard_count > 1)
-    std::printf(", shard %zu/%zu", opts.shard_index, opts.shard_count);
   if (!opts.store_path.empty())
     std::printf(", store %s%s", opts.store_path.c_str(),
                 opts.resume ? " (resume)" : "");
@@ -465,11 +431,12 @@ int cmd_sweep(const util::Args& args) {
 
 /// sm_flow materialize: rebuild the sweep tables for a grid purely from
 /// store logs — the query side of the event-sourced store. Accepts several
-/// comma-separated logs (shard outputs) and merges them last-wins. Exit
-/// codes tell scripts "incomplete" from "degraded" apart: 1 when any cell
-/// has no record at all (run more sweeps), 2 when the only absences are
-/// quarantined cells (every attempt at them died — rerunning won't help
-/// without a fix). Both listings land on stderr, sorted by config hash.
+/// comma-separated logs (say, of sub-grids run on different hosts) and
+/// merges them last-wins. Exit codes tell scripts "incomplete" from
+/// "degraded" apart: 1 when any cell has no record at all (run more
+/// sweeps), 2 when the only absences are quarantined cells (every attempt
+/// at them died — rerunning won't help without a fix). Both listings land
+/// on stderr, sorted by config hash.
 int cmd_materialize(const util::Args& args) {
   if (!args.has("store"))
     throw std::invalid_argument("materialize: --store=FILE[,FILE...] is "
@@ -495,10 +462,11 @@ int cmd_materialize(const util::Args& args) {
   std::printf("\nmaterialized %zu/%zu grid cells from the store\n",
               mat.result.rows.size(), grid.combinations());
   if (const int rc = export_result(args, mat.result); rc != 0) return rc;
-  // The degradation report (stderr, cells sorted by config hash so shard
-  // order never changes the bytes — CI diffs this). Torn lines are
-  // labelled too: a nonzero count is normal after a crashed run (the cell
-  // a tear would have held was never acknowledged) but worth eyes.
+  // The degradation report (stderr, cells sorted by config hash so the
+  // order of the grid flags never changes the bytes — CI diffs this). Torn
+  // lines are labelled too: a nonzero count is normal after a crashed run
+  // (the cell a tear would have held was never acknowledged) but worth
+  // eyes.
   if (store.skipped > 0)
     std::fprintf(stderr,
                  "materialize: %zu torn line(s) skipped (unacknowledged "

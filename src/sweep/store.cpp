@@ -1,6 +1,7 @@
 #include "sweep/store.hpp"
 
 #include "core/pipeline.hpp"
+#include "netlist/tech.hpp"
 #include "util/config_hash.hpp"
 #include "util/fault.hpp"
 #include "util/json.hpp"
@@ -104,12 +105,18 @@ std::string cell_config_json(const Grid& grid, const Options& opts,
 }
 
 std::vector<CellRef> expand_cells(const Grid& grid, const Options& opts) {
-  // Validate every benchmark before expanding anything — a typo must throw
-  // even when the split list is empty and no cells would exist.
+  // Validate every benchmark and split layer before expanding anything — a
+  // typo must throw even when another list is empty and no cells would
+  // exist, and a bad layer before any layout is routed.
   std::vector<Workload> workload;
   workload.reserve(grid.benchmarks.size());
   for (const auto& bench : grid.benchmarks)
     workload.push_back(workload_of(bench));
+  for (const int layer : grid.split_layers)
+    if (layer < 1 || layer >= netlist::MetalStack::kNumLayers)
+      throw std::invalid_argument("sweep: split layer " +
+                                  std::to_string(layer) +
+                                  " is not one of M1-M9");
 
   std::vector<CellRef> cells;
   cells.reserve(grid.combinations());
@@ -117,17 +124,15 @@ std::vector<CellRef> expand_cells(const Grid& grid, const Options& opts) {
   for (std::size_t bi = 0; bi < grid.benchmarks.size(); ++bi) {
     for (const auto seed : grid.seeds) {
       for (const auto defense : grid.defenses) {
-        for (std::size_t li = 0; li < grid.split_layers.size(); ++li) {
-          for (std::size_t ai = 0; ai < grid.attackers.size(); ++ai) {
+        for (const int split : grid.split_layers) {
+          for (const auto attacker : grid.attackers) {
             CellRef c;
             c.task_index = task_index;
-            c.split_index = li;
-            c.attacker_index = ai;
             c.benchmark = grid.benchmarks[bi];
             c.seed = seed;
             c.defense = defense;
-            c.split_layer = grid.split_layers[li];
-            c.attacker = grid.attackers[ai];
+            c.split_layer = split;
+            c.attacker = attacker;
             c.workload = workload[bi];
             c.config_hash = util::config_hash(
                 cell_config_json(grid, opts, c.benchmark, c.workload, seed,
@@ -262,7 +267,7 @@ void StoreWriter::append(const StoreRecord& rec) {
       util::fault_hit(util::FaultPoint::TornWrite, rec.config_hash).fire;
   if (tear) line.resize(line.size() / 2);  // half a record, no newline
   // One write(2) per record: O_APPEND makes concurrent appends (other
-  // shards and serve workers pointed at the same log) land whole-line, and
+  // sweeps and serve workers pointed at the same log) land whole-line, and
   // the fsync makes the record durable before the task is considered
   // complete. EINTR and short writes are retried, not treated as failures.
   std::size_t off = 0;
@@ -310,7 +315,7 @@ bool merge_store_line(const std::string& line, StoreContents& out) {
     ++out.duplicates;
     // Last-wins, except success is sticky: a quarantine marker only
     // says workers died while the cell was missing, so it never
-    // supersedes a completed record, whatever order shard logs merge.
+    // supersedes a completed record, whatever order logs merge in.
     if (!(rec.failed && !it->second.failed)) it->second = std::move(rec);
   }
   return true;
@@ -386,9 +391,9 @@ Materialized materialize(const Grid& grid, const Options& opts,
     out.result.rows.push_back(it->second.row);
     ++out.result.resumed_cells;
   }
-  // Missing/quarantined cells sort by config hash, not discovery order:
-  // shard filters visit cells in different orders, and CI byte-diffs the
-  // stderr listing.
+  // Missing/quarantined cells sort by config hash, not grid order: the
+  // stderr listing then depends only on which cells are absent, not on the
+  // order the grid flags list them in, and CI byte-diffs it.
   const auto by_hash = [](const CellRef& a, const CellRef& b) {
     return a.config_hash < b.config_hash;
   };

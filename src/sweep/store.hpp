@@ -16,28 +16,28 @@
 // canonical recipe JSON: (benchmark, seed, split_layer, defense, attacker,
 // patterns, scale, flow options via core::canonical_flow_json, randomize
 // options for protected cells, baseline recipe constants for baseline
-// defenses). Anything that can change a metric is in the hash;
-// scheduling knobs (jobs, shard assignment) and wall time are NOT — two
-// runs differing only in those resolve to the same cell.
+// defenses). Anything that can change a metric is in the hash; the
+// scheduling knob (jobs), the grid that expanded the cell and wall time
+// are NOT — two runs differing only in those resolve to the same cell.
 // tests/test_store.cpp pins golden hashes across releases.
 //
 // Consequences the sweep builds on:
 //   - crash-safe resume: `run` with Options::resume skips cells whose hash
 //     is already in the log and computes only the missing ones; a resumed
 //     run's rows are bit-identical to a from-scratch run (wall_ms aside);
-//   - sharding: `--shard i/N` deterministically splits the task list, each
-//     shard appends to its own log, and the concatenation of shard logs
-//     materializes byte-identically to the unsharded sweep's table
-//     (records are keyed, so merge order is irrelevant and duplicate keys
-//     are last-wins);
+//   - sub-grids: sweeps over parts of a grid (one per host, say) each
+//     append to their own log, and the concatenation of those logs
+//     materializes byte-identically to the whole grid's table (records
+//     are keyed, so merge order is irrelevant and duplicate keys are
+//     last-wins);
 //   - provenance: every record embeds the full canonical recipe, so any
 //     table row can be traced to the exact configuration that produced it.
 //
 // wall_ms provenance: the stored wall time is the *task* wall (one layout
 // shared by all split layers of a (benchmark, seed, defense) triple), it
 // is excluded from the config hash, and it is the one field outside the
-// resume/shard determinism contract — scripts/check_sweep_perf.py reads
-// perf baselines from it, tables merely display it.
+// resume/sub-grid determinism contract — scripts/check_sweep_perf.py
+// reads perf baselines from it, tables merely display it.
 #pragma once
 
 #include "sweep/sweep.hpp"
@@ -54,8 +54,6 @@ namespace sm::sweep {
 /// Identity of one grid cell within a sweep configuration.
 struct CellRef {
   std::size_t task_index = 0;  ///< (benchmark, seed, defense) triple, grid-major
-  std::size_t split_index = 0;    ///< position in Grid::split_layers
-  std::size_t attacker_index = 0; ///< position in Grid::attackers
   std::string benchmark;
   std::uint64_t seed = 0;
   Defense defense = Defense::Unprotected;
@@ -84,10 +82,9 @@ std::string cell_config_json(const Grid& grid, const Options& opts,
 
 /// Expand the grid into grid-major cells (benchmark, seed, defense major;
 /// then split, attacker innermost — exactly the row order of Result::rows)
-/// with config hashes. Validates every benchmark name up front
-/// (std::invalid_argument) even when the split list is empty. Shard
-/// options do NOT filter here — callers own that
-/// (`task_index % shard_count == shard_index`).
+/// with config hashes. Validates every benchmark name and split layer up
+/// front (std::invalid_argument), even when the other list is empty — a
+/// grid built in code never passes through Grid::set's checks.
 std::vector<CellRef> expand_cells(const Grid& grid, const Options& opts);
 
 /// One event in the log: a completed cell and its full recipe. `row`
@@ -146,12 +143,12 @@ class StoreWriter {
 };
 
 /// A loaded (possibly merged) store: records keyed by config hash,
-/// duplicate keys last-wins — so `cat shard0.jsonl shard1.jsonl` or
-/// re-running a sweep into the same log are both valid stores. One
+/// duplicate keys last-wins — so `cat a.jsonl b.jsonl` of two sub-grid
+/// logs or re-running a sweep into the same log are both valid stores. One
 /// exception to last-wins: a completed (ok) record is never overwritten by
-/// a `failed` quarantine record — success is sticky, whatever order shard
-/// logs merge in (a failed record only marks that workers died *while the
-/// cell was missing*).
+/// a `failed` quarantine record — success is sticky, whatever order logs
+/// merge in (a failed record only marks that workers died *while the cell
+/// was missing*).
 struct StoreContents {
   std::map<std::string, StoreRecord> records;
   std::size_t lines = 0;       ///< non-empty lines seen

@@ -134,10 +134,9 @@ std::vector<WorkUnit> work_units(const Grid& grid, const Options& opts) {
 ServeReport serve(const Grid& grid, const ServeOptions& opts) {
   if (opts.sweep.store_path.empty())
     throw std::invalid_argument("serve: a store path is required");
-  if (opts.sweep.resume || opts.sweep.shard_count != 1 ||
-      opts.sweep.shard_index != 0)
+  if (opts.sweep.resume)
     throw std::invalid_argument(
-        "serve: resume/shard sweep options are owned by the supervisor");
+        "serve: the resume option is owned by the supervisor");
   if (opts.cell_timeout_s <= 0)
     throw std::invalid_argument("serve: cell timeout must be > 0");
   if (opts.max_retries < 1)

@@ -79,8 +79,8 @@ struct WorkUnit {
 
 struct ServeOptions {
   /// Sweep options forwarded to workers. store_path is required (the log
-  /// IS the coordination medium); resume/shard fields are owned by the
-  /// supervisor and must be left at their defaults.
+  /// IS the coordination medium); resume is owned by the supervisor and
+  /// must be left false.
   Options sweep;
   std::size_t workers = 1;     ///< max concurrent worker processes; 0 = hw
   double cell_timeout_s = 300; ///< watchdog budget per missing cell
@@ -133,8 +133,8 @@ std::string worker_grid_spec(const Grid& grid, const WorkUnit& unit);
 std::vector<WorkUnit> work_units(const Grid& grid, const Options& opts);
 
 /// Run the supervisor until every cell of `grid` is stored or quarantined.
-/// Throws std::invalid_argument on option misuse (no store path, sharded
-/// sweep options, zero timeout/retries) and std::runtime_error when
+/// Throws std::invalid_argument on option misuse (no store path, resume
+/// set, zero timeout/retries) and std::runtime_error when
 /// workers cannot be spawned at all.
 ServeReport serve(const Grid& grid, const ServeOptions& opts);
 

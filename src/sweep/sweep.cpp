@@ -7,6 +7,7 @@
 #include "core/pipeline.hpp"
 #include "core/protect.hpp"
 #include "core/split.hpp"
+#include "netlist/tech.hpp"
 #include "netlist/topo.hpp"
 #include "sweep/store.hpp"
 #include "util/args.hpp"
@@ -15,7 +16,6 @@
 #include "util/thread_pool.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <chrono>
 #include <functional>
 #include <map>
@@ -51,7 +51,8 @@ double now_ms() {
 /// Fires once per cell this task actually computed, after the task's rows
 /// (including the shared wall stamp) are final — the store appends here,
 /// so a record only ever describes a completed, fully-written cell.
-/// `cell_index` is the task-local index: split_index * attackers + ai.
+/// `cell_index` is the task-local index: li * attackers + ai, for split
+/// layer li and attacker ai of the grid.
 using CellCallback = std::function<void(std::size_t cell_index)>;
 
 core::PerturbStrategy perturb_strategy(Defense d) {
@@ -251,21 +252,6 @@ void run_task(const Task& t, const Grid& grid, const Options& opts,
   }
 }
 
-std::uint64_t parse_u64(const std::string& s, const char* what) {
-  try {
-    // stoull would silently wrap "-1" to 2^64-1; require plain digits.
-    if (s.empty() || !std::isdigit(static_cast<unsigned char>(s[0])))
-      throw std::invalid_argument(s);
-    std::size_t used = 0;
-    const auto v = std::stoull(s, &used);
-    if (used != s.size()) throw std::invalid_argument(s);
-    return v;
-  } catch (const std::exception&) {
-    throw std::invalid_argument(std::string("sweep: bad ") + what + " '" + s +
-                                "'");
-  }
-}
-
 }  // namespace
 
 workloads::GenSpec task_spec(const std::string& benchmark, Workload workload,
@@ -436,11 +422,18 @@ void Grid::set(const std::string& key, const std::string& value) {
     benchmarks = items;
   } else if (key == "seeds") {
     seeds.clear();
-    for (const auto& s : items) seeds.push_back(parse_u64(s, "seed"));
+    for (const auto& s : items)
+      seeds.push_back(util::parse_count(s, "sweep: seed"));
   } else if (key == "splits" || key == "split-layers") {
     split_layers.clear();
-    for (const auto& s : items)
-      split_layers.push_back(static_cast<int>(parse_u64(s, "split layer")));
+    for (const auto& s : items) {
+      // Range-checked before it narrows to int: 2^32 + 3 must not become 3.
+      const std::size_t layer = util::parse_count(s, "sweep: split layer");
+      if (layer < 1 || layer >= netlist::MetalStack::kNumLayers)
+        throw std::invalid_argument("sweep: split layer '" + s +
+                                    "' is not one of M1-M9");
+      split_layers.push_back(static_cast<int>(layer));
+    }
   } else if (key == "defenses") {
     defenses.clear();
     for (const auto& s : items) defenses.push_back(defense_from_string(s));
@@ -448,14 +441,7 @@ void Grid::set(const std::string& key, const std::string& value) {
     attackers.clear();
     for (const auto& s : items) attackers.push_back(attacker_from_string(s));
   } else if (key == "scale") {
-    std::size_t used = 0;
-    try {
-      scale = std::stod(value, &used);
-    } catch (const std::exception&) {
-      used = std::string::npos;
-    }
-    if (used != value.size())
-      throw std::invalid_argument("sweep: bad scale '" + value + "'");
+    scale = util::parse_double(value, "sweep: scale");
   } else {
     throw std::invalid_argument(
         "sweep: unknown grid key '" + key +
@@ -567,8 +553,6 @@ std::string Result::to_json() const {
      << ",\n  \"computed_cells\": " << computed_cells
      << ",\n  \"resumed_cells\": " << resumed_cells
      << ",\n  \"quarantined_cells\": " << quarantined_cells
-     << ",\n  \"shard_index\": " << shard_index
-     << ",\n  \"shard_count\": " << shard_count
      << ",\n  \"cache\": {\"netlists\": " << cache_stats.netlists
      << ", \"placements\": " << cache_stats.placements
      << ", \"base_routes\": " << cache_stats.base_routes
@@ -591,34 +575,19 @@ std::string Result::to_json() const {
 }
 
 Result run(const Grid& grid, const Options& opts) {
-  if (opts.shard_count < 1)
-    throw std::invalid_argument("sweep: shard count must be >= 1");
-  if (opts.shard_index >= opts.shard_count)
-    throw std::invalid_argument(
-        "sweep: shard index " + std::to_string(opts.shard_index) +
-        " out of range for " + std::to_string(opts.shard_count) + " shards");
   if (opts.resume && opts.store_path.empty())
     throw std::invalid_argument("sweep: resume requires a store path");
 
-  // Expand the grid into hashed cells (validates every benchmark name up
-  // front, so a typo throws before hours of work). Cells are task-major:
-  // task ti owns cells [ti*cpt, (ti+1)*cpt), attacker innermost.
+  // Expand the grid into hashed cells (validates every benchmark name and
+  // split layer up front, so a typo throws before hours of work). Cells
+  // are task-major: task k owns cells [k*cpt, (k+1)*cpt), attacker
+  // innermost — the same blocks as result.rows.
   const auto cells = expand_cells(grid, opts);
   const std::size_t cpt = grid.split_layers.size() * grid.attackers.size();
-  const std::size_t total_tasks = cpt ? cells.size() / cpt : 0;
-
-  // Deterministic shard split: task ti belongs to shard ti % shard_count.
-  // Round-robin (not contiguous blocks) so every shard sees a mix of cheap
-  // and expensive benchmarks.
-  std::vector<std::size_t> kept;  // global task index per local task
-  kept.reserve(total_tasks / opts.shard_count + 1);
-  for (std::size_t ti = 0; ti < total_tasks; ++ti)
-    if (ti % opts.shard_count == opts.shard_index) kept.push_back(ti);
+  const std::size_t n_tasks = cpt ? cells.size() / cpt : 0;
 
   Result result;
-  result.shard_index = opts.shard_index;
-  result.shard_count = opts.shard_count;
-  result.rows.resize(kept.size() * cpt);
+  result.rows.resize(cells.size());
 
   // Resume prefill: rows whose config hash is already logged are copied
   // from the store and their cells masked off; a task with no missing
@@ -628,15 +597,15 @@ Result run(const Grid& grid, const Options& opts) {
   const StoreContents resumed =
       opts.resume ? load_store({opts.store_path}, /*must_exist=*/false)
                   : StoreContents{};
-  std::vector<std::vector<char>> compute(kept.size());
-  std::vector<char> quarantined(kept.size() * cpt, 0);
-  std::vector<std::size_t> runnable;  // local task indices with work left
-  runnable.reserve(kept.size());
-  for (std::size_t k = 0; k < kept.size(); ++k) {
+  std::vector<std::vector<char>> compute(n_tasks);
+  std::vector<char> quarantined(cells.size(), 0);
+  std::vector<std::size_t> runnable;  // task indices with work left
+  runnable.reserve(n_tasks);
+  for (std::size_t k = 0; k < n_tasks; ++k) {
     compute[k].assign(cpt, 1);
     std::size_t missing = cpt;
     for (std::size_t ci = 0; ci < cpt; ++ci) {
-      const CellRef& cell = cells[kept[k] * cpt + ci];
+      const CellRef& cell = cells[k * cpt + ci];
       const auto it = resumed.records.find(cell.config_hash);
       if (it == resumed.records.end()) continue;
       compute[k][ci] = 0;
@@ -672,14 +641,14 @@ Result run(const Grid& grid, const Options& opts) {
   core::LayoutCache cache;
 
   const double t0 = now_ms();
-  // Local row block for task k is [k*cpt, (k+1)*cpt): grid-major order
-  // among this shard's tasks, and no two tasks share a row — workers
-  // never contend on results. The per-cell completion callback appends to
-  // the store (its own lock serializes writers) the moment a cell's row is
-  // final, which is what makes a mid-sweep crash resumable.
+  // The row block of task k is [k*cpt, (k+1)*cpt): grid-major order, and
+  // no two tasks share a row — workers never contend on results. The
+  // per-cell completion callback appends to the store (its own lock
+  // serializes writers) the moment a cell's row is final, which is what
+  // makes a mid-sweep crash resumable.
   util::parallel_for(opts.jobs, runnable.size(), [&](std::size_t i) {
     const std::size_t k = runnable[i];
-    const CellRef& first = cells[kept[k] * cpt];
+    const CellRef& first = cells[k * cpt];
     const Task task{first.benchmark, first.seed, first.defense,
                     first.workload,
                     // All defenses of one (bench, seed) share one cache
@@ -690,7 +659,7 @@ Result run(const Grid& grid, const Options& opts) {
     Row* rows = result.rows.data() + k * cpt;
     const CellCallback on_cell = [&, k](std::size_t ci) {
       if (!writer) return;
-      const CellRef& cell = cells[kept[k] * cpt + ci];
+      const CellRef& cell = cells[k * cpt + ci];
       StoreRecord rec;
       rec.config_hash = cell.config_hash;
       rec.row = rows[ci];

@@ -42,11 +42,13 @@
 // Persistence: the run loop is event-sourced around per-cell completion
 // callbacks — with Options::store_path set, every finished cell is
 // appended (fsync'd) to an append-only JSONL log keyed by a config hash
-// of the cell's full recipe, and sweeps can resume (skip logged cells) or
-// shard (--shard i/N task split whose logs merge into one store). The
-// determinism guarantee extends to both: resumed == from-scratch and
-// merged shards == unsharded, bit-identical modulo wall_ms and
-// test-enforced. sweep/store.hpp is the substrate.
+// of the cell's full recipe, and sweeps can resume (skip logged cells). A
+// cell's hash does not depend on which grid expanded it, so sub-grids run
+// as separate processes log exactly the records the whole grid would, and
+// their logs merge into one store. The determinism guarantee extends to
+// both: resumed == from-scratch and merged sub-grid logs == the whole
+// grid, bit-identical modulo wall_ms and test-enforced. sweep/store.hpp is
+// the substrate.
 #pragma once
 
 #include "core/pipeline.hpp"
@@ -145,10 +147,12 @@ struct Grid {
 
   /// Apply one grid key ("benchmarks", "seeds", "splits"/"split-layers",
   /// "defenses", "attackers", "scale") with a comma-separated value,
-  /// replacing that dimension. Empty list entries are skipped. Throws
-  /// std::invalid_argument on unknown keys, defenses, attackers, or
-  /// malformed numbers — the --grid spec and the individual CLI flags
-  /// share this validated path.
+  /// replacing that dimension. Empty list entries are skipped. Numbers
+  /// parse whole, as util::parse_count / parse_double read them. Throws
+  /// std::invalid_argument on unknown keys, defenses, attackers, malformed
+  /// numbers, a non-finite scale, or a split layer outside 1-9 (the metal
+  /// stack's layers below the top one) — the --grid spec and the
+  /// individual CLI flags share this validated path.
   void set(const std::string& key, const std::string& value);
 
   /// Parse a compact spec: semicolon-separated key=value pairs applied via
@@ -173,13 +177,6 @@ struct Options {
   /// aside) — test-enforced. Requires store_path; a missing log file is a
   /// fresh start, not an error.
   bool resume = false;
-  /// Deterministic task split across processes: this invocation runs only
-  /// tasks with `task_index % shard_count == shard_index` and its rows
-  /// cover exactly those tasks' cells (still grid-major). Shard logs merge
-  /// into one store — union-materialize equals the unsharded sweep,
-  /// test-enforced. shard_count must be >= 1 and shard_index < shard_count.
-  std::size_t shard_index = 0;
-  std::size_t shard_count = 1;
 };
 
 /// The flow recipe: the generator spec, FlowOptions and RandomizeOptions
@@ -222,9 +219,9 @@ struct Row {
   /// (benchmark, seed, defense) task share one timer because they share
   /// one layout). Provenance only: excluded from the store's config hash
   /// and from every determinism contract (jobs-identity, resumed ==
-  /// from-scratch, merged shards == unsharded) — on resume it covers only
-  /// the splits actually recomputed, and rows filled from the store carry
-  /// the wall of the run that originally computed them.
+  /// from-scratch, merged sub-grid logs == whole grid) — on resume it
+  /// covers only the splits actually recomputed, and rows filled from the
+  /// store carry the wall of the run that originally computed them.
   double wall_ms = 0.0;
 };
 
@@ -246,9 +243,6 @@ using MeanKey = std::tuple<std::string, Defense, Attacker>;
 
 struct Result {
   /// Grid-major: benchmark, seed, defense, split, attacker (innermost).
-  /// Under sharding, only the cells of this shard's tasks (grid-major
-  /// among them) — the full table comes from materializing the merged
-  /// shard logs.
   std::vector<Row> rows;
   std::size_t jobs = 1;   ///< resolved worker count actually used
   /// Always 1: the router runs on one thread. Kept declared only because
@@ -272,8 +266,6 @@ struct Result {
   /// and excluded from rows (they have no metrics). Always 0 without
   /// --resume or without a supervisor in the picture.
   std::size_t quarantined_cells = 0;
-  std::size_t shard_index = 0;  ///< echo of Options (0/1 when unsharded)
-  std::size_t shard_count = 1;
 
   /// Per-row table (one line per grid cell).
   util::Table table() const;
@@ -286,8 +278,9 @@ struct Result {
   std::string to_json() const;
 };
 
-/// Run the sweep. Throws std::invalid_argument for unknown benchmark names
-/// and invalid shard/resume combinations (before any task runs);
+/// Run the sweep. Throws std::invalid_argument for unknown benchmark names,
+/// split layers outside 1-9 and resume without a store path (before any
+/// task runs);
 /// exceptions thrown by a task propagate after the whole batch finishes
 /// (lowest row index wins, see util::parallel_for). With
 /// Options::store_path set, each completed cell is appended to the

@@ -36,10 +36,10 @@ std::string Args::get(const std::string& key, const std::string& fallback) const
 namespace {
 
 /// `parse(v, &used)` over all of `v` (a std::sto* call); throws
-/// std::invalid_argument naming the flag unless it parses every character
-/// into a value `ok` accepts.
+/// std::invalid_argument naming the value as `what` unless it parses every
+/// character into a value `ok` accepts.
 template <class Parse, class Ok>
-auto parse_whole(const std::string& key, const std::string& v, Parse parse,
+auto parse_whole(const std::string& what, const std::string& v, Parse parse,
                  Ok ok, const char* expected) {
   std::size_t used = 0;
   decltype(parse(v, &used)) parsed{};
@@ -49,41 +49,38 @@ auto parse_whole(const std::string& key, const std::string& v, Parse parse,
     used = 0;
   }
   if (v.empty() || used != v.size() || !ok(parsed))
-    throw std::invalid_argument("--" + key + ": expected " + expected +
-                                ", got '" + v + "'");
+    throw std::invalid_argument(what + ": expected " + expected + ", got '" +
+                                v + "'");
   return parsed;
 }
 
 }  // namespace
 
-std::int64_t Args::get_int(const std::string& key, std::int64_t fallback) const {
-  const auto it = kv_.find(key);
-  if (it == kv_.end()) return fallback;
+std::size_t parse_count(const std::string& value, const std::string& what) {
+  // Plain digits only: std::stoull would accept a sign and wrap "-1".
+  const bool digit = std::isdigit(static_cast<unsigned char>(value[0]));
+  return static_cast<std::size_t>(parse_whole(
+      what, value,
+      [](const std::string& v, std::size_t* n) { return std::stoull(v, n); },
+      [&](unsigned long long) { return digit; }, "a non-negative integer"));
+}
+
+double parse_double(const std::string& value, const std::string& what) {
   return parse_whole(
-      key, it->second,
-      [](const std::string& v, std::size_t* n) { return std::stoll(v, n); },
-      [](long long) { return true; }, "an integer");
+      what, value,
+      [](const std::string& v, std::size_t* n) { return std::stod(v, n); },
+      [](double d) { return std::isfinite(d); }, "a finite number");
 }
 
 double Args::get_double(const std::string& key, double fallback) const {
   const auto it = kv_.find(key);
-  if (it == kv_.end()) return fallback;
-  return parse_whole(
-      key, it->second,
-      [](const std::string& v, std::size_t* n) { return std::stod(v, n); },
-      [](double d) { return std::isfinite(d); }, "a finite number");
+  return it == kv_.end() ? fallback : parse_double(it->second, "--" + key);
 }
 
 std::size_t Args::get_count(const std::string& key,
                             std::size_t fallback) const {
   const auto it = kv_.find(key);
-  if (it == kv_.end()) return fallback;
-  // Plain digits only: std::stoull would accept a sign and wrap "-1".
-  const bool digit = std::isdigit(static_cast<unsigned char>(it->second[0]));
-  return static_cast<std::size_t>(parse_whole(
-      key, it->second,
-      [](const std::string& v, std::size_t* n) { return std::stoull(v, n); },
-      [&](unsigned long long) { return digit; }, "a non-negative integer"));
+  return it == kv_.end() ? fallback : parse_count(it->second, "--" + key);
 }
 
 void Args::reject_unknown(const std::vector<std::string>& known) const {

@@ -6,12 +6,12 @@
 // of the values — fixed field order (the writer emits keys in the order the
 // caller adds them; callers sort their keys lexicographically by
 // convention), no whitespace, and shortest-round-trip double formatting —
-// so the same configuration hashes identically across processes, shards,
+// so the same configuration hashes identically across processes, grids,
 // and releases. tests/test_store.cpp pins golden hash values as a
 // cross-release stability regression.
 //
 // JsonWriter is also the store's record serializer: records written by one
-// shard must be byte-stable so merged shard logs and resumed runs
+// process must be byte-stable so merged sub-grid logs and resumed runs
 // materialize bit-identical tables (doubles round-trip exactly through
 // format_double / strtod).
 #pragma once

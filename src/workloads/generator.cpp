@@ -222,7 +222,7 @@ const std::vector<std::string>& iscas85_names() {
 }
 
 GenSpec superblue_profile(const std::string& name, double scale) {
-  if (scale <= 0.0 || scale > 1.0)
+  if (!(scale > 0.0 && scale <= 1.0))  // NaN fails too
     throw std::invalid_argument("superblue_profile: scale must be in (0,1]");
   for (const auto& row : kSuperblue) {
     if (name != row.name) continue;
@@ -271,7 +271,7 @@ constexpr SyntheticRow kSynthetic[] = {
 }  // namespace
 
 GenSpec synthetic_profile(const std::string& name, double scale) {
-  if (scale <= 0.0 || scale > 1.0)
+  if (!(scale > 0.0 && scale <= 1.0))  // NaN fails too
     throw std::invalid_argument("synthetic_profile: scale must be in (0,1]");
   for (const auto& row : kSynthetic) {
     if (name != row.name) continue;

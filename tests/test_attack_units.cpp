@@ -234,7 +234,7 @@ TEST(AttackUnits, LoadBudgetTracksSinkCapacitance) {
   EXPECT_EQ(correct_with_sinks("INV_X1"), 1u);
 }
 
-/// Randomized many-fragment view for the spatial-index and sharding tests:
+/// Randomized many-fragment view for the spatial-index tests:
 /// `nd` PI-driven nets (open driver fragments) and `nsk` INV sinks (open
 /// sink fragments, true driver = net j % nd), fragments scattered uniformly
 /// with 1-3 vpins each (random offsets exercise the index's spread slack,

@@ -188,8 +188,8 @@ TEST(Store, WriterAppendsAndLoadMerges) {
 }
 
 TEST(Store, LoadSkipsTornTailAndMergesFiles) {
-  const std::string p1 = testing::TempDir() + "sm_store_test_shard0.jsonl";
-  const std::string p2 = testing::TempDir() + "sm_store_test_shard1.jsonl";
+  const std::string p1 = testing::TempDir() + "sm_store_test_log0.jsonl";
+  const std::string p2 = testing::TempDir() + "sm_store_test_log1.jsonl";
   std::remove(p1.c_str());
   std::remove(p2.c_str());
 
@@ -418,6 +418,18 @@ TEST(StoreCells, ExpandValidatesBenchmarksEvenWithoutSplits) {
   EXPECT_THROW(sweep::expand_cells(grid, {}), std::invalid_argument);
 }
 
+// A grid built in code skips Grid::set's checks; expansion catches a split
+// layer the metal stack cannot cut after before any layout is routed.
+TEST(StoreCells, ExpandValidatesSplitLayers) {
+  sweep::Grid grid;
+  grid.benchmarks = {"c432"};
+  for (const int layer : {0, 10}) {
+    grid.split_layers = {4, layer};
+    EXPECT_THROW(sweep::expand_cells(grid, {}), std::invalid_argument)
+        << "M" << layer;
+  }
+}
+
 TEST(StoreCells, HashIgnoresSchedulingOptions) {
   sweep::Grid grid;
   grid.benchmarks = {"c432"};
@@ -426,8 +438,6 @@ TEST(StoreCells, HashIgnoresSchedulingOptions) {
   a.patterns = 2000;
   sweep::Options b = a;
   b.jobs = 8;
-  b.shard_index = 1;
-  b.shard_count = 3;
   b.store_path = "elsewhere.jsonl";
   b.resume = true;
   const auto ca = sweep::expand_cells(grid, a);

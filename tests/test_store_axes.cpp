@@ -129,7 +129,7 @@ TEST(StoreAxes, RecipeKeysAreConditional) {
 }
 
 // Scheduling knobs must stay excluded from the hash on the NEW axis values
-// too — jobs/shard/resume/store changes resolve to the same cells.
+// too — jobs/resume/store changes resolve to the same cells.
 TEST(StoreAxes, HashIgnoresSchedulingOptionsOnNewAxes) {
   sweep::Grid grid = quick_grid();
   grid.defenses = {sweep::Defense::GColor, sweep::Defense::PinSwap};
@@ -138,8 +138,6 @@ TEST(StoreAxes, HashIgnoresSchedulingOptionsOnNewAxes) {
   a.patterns = 2000;
   sweep::Options b = a;
   b.jobs = 8;
-  b.shard_index = 1;
-  b.shard_count = 3;
   b.store_path = "elsewhere.jsonl";
   b.resume = true;
   const auto ca = sweep::expand_cells(grid, a);
@@ -270,8 +268,8 @@ TEST(StoreAxes, DescribeNamesEveryAxis) {
   EXPECT_NE(text.find(cells[0].config_hash), std::string::npos);
 }
 
-// Satellite: the missing-cell listing is sorted by config hash — stable
-// across shard visit orders, so CI can byte-diff stderr.
+// The missing-cell listing is sorted by config hash — stable whatever
+// order the grid flags list the cells in, so CI can byte-diff stderr.
 TEST(StoreAxes, MaterializeMissingIsSortedByConfigHash) {
   sweep::Grid grid = quick_grid();
   grid.split_layers = {3, 4, 5};

@@ -190,9 +190,6 @@ TEST(Serve, ValidatesOptions) {
   opts.sweep.resume = true;
   EXPECT_THROW(sweep::serve(grid, opts), std::invalid_argument);
   opts.sweep.resume = false;
-  opts.sweep.shard_count = 2;
-  EXPECT_THROW(sweep::serve(grid, opts), std::invalid_argument);
-  opts.sweep.shard_count = 1;
   opts.cell_timeout_s = 0;
   EXPECT_THROW(sweep::serve(grid, opts), std::invalid_argument);
   opts.cell_timeout_s = 60;

@@ -1,7 +1,7 @@
 // Tests for the parallel attack-sweep driver: grid spec parsing, empty-grid
 // edge cases, export formats, and the determinism guarantees — CCR/OER/HD
 // bit-identical between --jobs=1 and --jobs=8, between a resumed and a
-// from-scratch run, and between merged shard stores and the unsharded sweep.
+// from-scratch run, and between merged sub-grid logs and the whole grid.
 #include "sweep/sweep.hpp"
 
 #include "sweep/store.hpp"
@@ -17,8 +17,9 @@ namespace {
 
 using namespace sm;
 
-// Every Row field except wall_ms, bitwise — the resume/shard determinism
-// contract explicitly excludes wall time (task-granular provenance).
+// Every Row field except wall_ms, bitwise — the resume/sub-grid
+// determinism contract explicitly excludes wall time (task-granular
+// provenance).
 void expect_rows_equal_modulo_wall(const std::vector<sweep::Row>& a,
                                    const std::vector<sweep::Row>& b) {
   ASSERT_EQ(a.size(), b.size());
@@ -109,6 +110,13 @@ TEST(SweepGrid, SetRejectsBadValues) {
   EXPECT_THROW(g.set("seeds", "0x10"), std::invalid_argument);
   EXPECT_THROW(g.set("scale", "1e"), std::invalid_argument);
   EXPECT_THROW(g.set("scale", ""), std::invalid_argument);
+  EXPECT_THROW(g.set("scale", "nan"), std::invalid_argument);
+  EXPECT_THROW(g.set("scale", "inf"), std::invalid_argument);
+  // Split layers the stack cannot cut after, checked before narrowing to
+  // int (2^32 + 3 must not become M3).
+  EXPECT_THROW(g.set("splits", "0"), std::invalid_argument);
+  EXPECT_THROW(g.set("splits", "10"), std::invalid_argument);
+  EXPECT_THROW(g.set("splits", "4294967299"), std::invalid_argument);
   // An empty value empties the dimension (a zero-cell grid, not an error).
   g.set("seeds", "");
   EXPECT_TRUE(g.seeds.empty());
@@ -272,15 +280,9 @@ TEST(Sweep, MeansSkipVacuousCells) {
   EXPECT_NE(summary.find("n/a"), std::string::npos);
 }
 
-TEST(Sweep, RejectsInvalidShardAndResumeOptions) {
+TEST(Sweep, RejectsResumeWithoutStore) {
   sweep::Grid grid;
   grid.benchmarks = {"c432"};
-  sweep::Options opts;
-  opts.shard_count = 0;
-  EXPECT_THROW(sweep::run(grid, opts), std::invalid_argument);
-  opts.shard_count = 2;
-  opts.shard_index = 2;
-  EXPECT_THROW(sweep::run(grid, opts), std::invalid_argument);
   sweep::Options resume_only;
   resume_only.resume = true;  // resume without a store to resume from
   EXPECT_THROW(sweep::run(grid, resume_only), std::invalid_argument);
@@ -336,10 +338,12 @@ TEST(Sweep, ResumedEqualsFromScratch) {
   std::remove(store.c_str());
 }
 
-// Acceptance: --shard 0/2 and --shard 1/2 together cover the grid exactly
-// once, and the union of their stores materializes to the same table as
-// the unsharded sweep (CSV byte-identical once wall_ms is stripped).
-TEST(Sweep, ShardUnionMaterializesToUnsharded) {
+// Acceptance: a grid split into sub-grids — one per seed, each run into
+// its own log, as two hosts would — materializes from the merged logs to
+// the same table as the whole grid (CSV byte-identical once wall_ms is
+// stripped): a cell's config hash does not depend on the grid that
+// expanded it.
+TEST(Sweep, SubGridLogsMaterializeToWholeGrid) {
   sweep::Grid grid;
   grid.benchmarks = {"c432"};
   grid.seeds = {1, 2};
@@ -351,30 +355,23 @@ TEST(Sweep, ShardUnionMaterializesToUnsharded) {
   const auto whole = sweep::run(grid, opts);
   ASSERT_EQ(whole.rows.size(), 4u);
 
-  const std::string s0 = testing::TempDir() + "sm_sweep_shard0.jsonl";
-  const std::string s1 = testing::TempDir() + "sm_sweep_shard1.jsonl";
-  std::remove(s0.c_str());
-  std::remove(s1.c_str());
-
-  std::vector<sweep::Row> shard_rows;
-  for (std::size_t i = 0; i < 2; ++i) {
+  std::vector<std::string> logs;
+  for (const auto seed : grid.seeds) {
+    sweep::Grid sub = grid;
+    sub.seeds = {seed};
     sweep::Options sopts = opts;
-    sopts.shard_index = i;
-    sopts.shard_count = 2;
-    sopts.store_path = i == 0 ? s0 : s1;
-    const auto part = sweep::run(grid, sopts);
-    EXPECT_EQ(part.shard_index, i);
-    EXPECT_EQ(part.shard_count, 2u);
-    EXPECT_EQ(part.rows.size(), 2u);  // 4 tasks round-robined across 2
-    EXPECT_EQ(part.computed_cells, 2u);
-    shard_rows.insert(shard_rows.end(), part.rows.begin(), part.rows.end());
+    sopts.store_path = testing::TempDir() + "sm_sweep_seed" +
+                       std::to_string(seed) + ".jsonl";
+    std::remove(sopts.store_path.c_str());
+    const auto part = sweep::run(sub, sopts);
+    EXPECT_EQ(part.computed_cells, 2u);  // 2 defenses x 1 split
+    logs.push_back(sopts.store_path);
   }
-  // The shards partition the tasks: together they saw each cell once.
-  EXPECT_EQ(shard_rows.size(), whole.rows.size());
 
-  // Merge the two logs (order must not matter — records are keyed) and
-  // materialize the full grid from them.
-  const auto store = sweep::load_store({s1, s0}, /*must_exist=*/true);
+  // Merge the two logs in reverse order (order must not matter — records
+  // are keyed) and materialize the whole grid from them.
+  const auto store =
+      sweep::load_store({logs[1], logs[0]}, /*must_exist=*/true);
   EXPECT_EQ(store.records.size(), 4u);
   EXPECT_EQ(store.duplicates, 0u);
   const auto mat = sweep::materialize(grid, opts, store);
@@ -382,8 +379,7 @@ TEST(Sweep, ShardUnionMaterializesToUnsharded) {
   expect_rows_equal_modulo_wall(whole.rows, mat.result.rows);
   EXPECT_EQ(strip_wall_column(whole.to_csv()),
             strip_wall_column(mat.result.to_csv()));
-  std::remove(s0.c_str());
-  std::remove(s1.c_str());
+  for (const auto& log : logs) std::remove(log.c_str());
 }
 
 }  // namespace

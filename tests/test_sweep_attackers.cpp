@@ -2,10 +2,10 @@
 // sweep grid can schedule (proximity / crouting / sat) and every baseline
 // defense must honor the same guarantees the proximity-only sweep shipped
 // with: metrics bit-identical for jobs in {1, 2, 8}, resumed == scratch,
-// shard-union == unsharded — plus per-attacker row semantics (crouting's
-// candidate-list metrics, the sat attacker's equivalence verdict) and the
-// deterministic LayoutCache accounting when baseline defenses share one
-// (bench, seed) placement.
+// merged sub-grid logs == whole grid — plus per-attacker row semantics
+// (crouting's candidate-list metrics, the sat attacker's equivalence
+// verdict) and the deterministic LayoutCache accounting when baseline
+// defenses share one (bench, seed) placement.
 #include "sweep/sweep.hpp"
 
 #include "core/equivalence.hpp"
@@ -257,9 +257,9 @@ TEST(AttackerAxis, ResumedEqualsFromScratchWithAttackerCells) {
   std::remove(store.c_str());
 }
 
-// Shard-union == unsharded for a >= 2 defenses x >= 2 attackers grid — the
-// ISSUE's acceptance grid, CSV byte-identical modulo wall.
-TEST(AttackerAxis, ShardUnionMaterializesToUnshardedAcrossAttackers) {
+// Merged sub-grid logs == whole grid for a >= 2 defenses x >= 2 attackers
+// grid, one sub-grid per defense: CSV byte-identical modulo wall.
+TEST(AttackerAxis, SubGridLogsMaterializeToWholeGridAcrossAttackers) {
   sweep::Grid grid;
   grid.benchmarks = {"c432"};
   grid.seeds = {1};
@@ -272,29 +272,28 @@ TEST(AttackerAxis, ShardUnionMaterializesToUnshardedAcrossAttackers) {
   const auto whole = sweep::run(grid, opts);
   ASSERT_EQ(whole.rows.size(), 4u);  // 2 defenses x 2 attackers
 
-  const std::string s0 = testing::TempDir() + "sm_attacker_shard0.jsonl";
-  const std::string s1 = testing::TempDir() + "sm_attacker_shard1.jsonl";
-  std::remove(s0.c_str());
-  std::remove(s1.c_str());
-
-  for (std::size_t i = 0; i < 2; ++i) {
+  std::vector<std::string> logs;
+  for (const auto defense : grid.defenses) {
+    sweep::Grid sub = grid;
+    sub.defenses = {defense};
     sweep::Options sopts = opts;
-    sopts.shard_index = i;
-    sopts.shard_count = 2;
-    sopts.store_path = i == 0 ? s0 : s1;
-    const auto part = sweep::run(grid, sopts);
-    EXPECT_EQ(part.computed_cells, 2u);  // one task (= defense) per shard
+    sopts.store_path = testing::TempDir() + "sm_attacker_" +
+                       sweep::to_string(defense) + ".jsonl";
+    std::remove(sopts.store_path.c_str());
+    const auto part = sweep::run(sub, sopts);
+    EXPECT_EQ(part.computed_cells, 2u);  // one task: 2 attackers
+    logs.push_back(sopts.store_path);
   }
 
-  const auto store = sweep::load_store({s1, s0}, /*must_exist=*/true);
+  const auto store =
+      sweep::load_store({logs[1], logs[0]}, /*must_exist=*/true);
   EXPECT_EQ(store.records.size(), 4u);
   const auto mat = sweep::materialize(grid, opts, store);
   EXPECT_TRUE(mat.missing.empty());
   expect_rows_equal_modulo_wall(whole.rows, mat.result.rows);
   EXPECT_EQ(strip_wall_column(whole.to_csv()),
             strip_wall_column(mat.result.to_csv()));
-  std::remove(s0.c_str());
-  std::remove(s1.c_str());
+  for (const auto& log : logs) std::remove(log.c_str());
 }
 
 // A synthetic-ladder bench flows through the sweep like any published

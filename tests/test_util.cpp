@@ -184,8 +184,8 @@ TEST(Table, NumberFormatting) {
 TEST(Args, ParsesKeyValueForms) {
   const char* argv[] = {"prog", "pos", "--alpha=3", "--beta", "4", "--flag"};
   Args args(6, argv);
-  EXPECT_EQ(args.get_int("alpha", 0), 3);
-  EXPECT_EQ(args.get_int("beta", 0), 4);
+  EXPECT_EQ(args.get_count("alpha", 0), 3u);
+  EXPECT_EQ(args.get_count("beta", 0), 4u);
   EXPECT_TRUE(args.get_bool("flag", false));
   ASSERT_EQ(args.positional().size(), 1u);
   EXPECT_EQ(args.positional()[0], "pos");
@@ -209,12 +209,9 @@ TEST(Args, GetCountRejectsNegativeAndGarbage) {
   EXPECT_THROW(args.get_count("bad", 1), std::invalid_argument);
   EXPECT_THROW(args.get_count("worse", 1), std::invalid_argument);
   EXPECT_THROW(args.get_count("trail", 1), std::invalid_argument);
-  // get_int and get_double parse the whole token too, instead of reading
-  // garbage as 0; get_int takes a sign, get_double only finite numbers.
-  EXPECT_EQ(args.get_int("bad", 1), -1);
-  EXPECT_THROW(args.get_int("worse", 1), std::invalid_argument);
-  EXPECT_THROW(args.get_int("trail", 1), std::invalid_argument);
-  EXPECT_THROW(args.get_int("scale", 1), std::invalid_argument);
+  EXPECT_THROW(args.get_count("scale", 1), std::invalid_argument);
+  // get_double parses the whole token too, instead of reading garbage as 0,
+  // and takes a sign but only finite numbers.
   EXPECT_DOUBLE_EQ(args.get_double("scale", 1.0), 0.25);
   EXPECT_DOUBLE_EQ(args.get_double("bad", 1.0), -1.0);
   EXPECT_THROW(args.get_double("worse", 1.0), std::invalid_argument);
@@ -222,10 +219,11 @@ TEST(Args, GetCountRejectsNegativeAndGarbage) {
   EXPECT_THROW(args.get_double("big", 1.0), std::invalid_argument);
   EXPECT_THROW(args.get_double("nan", 1.0), std::invalid_argument);
   try {
-    args.get_int("worse", 1);
+    args.get_count("worse", 1);
     FAIL() << "--worse accepted";
   } catch (const std::invalid_argument& e) {
-    EXPECT_STREQ(e.what(), "--worse: expected an integer, got 'abc'");
+    EXPECT_STREQ(e.what(),
+                 "--worse: expected a non-negative integer, got 'abc'");
   }
 }
 

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 namespace {
 
 using namespace sm::workloads;
@@ -43,6 +45,8 @@ TEST(Workloads, RejectsBadSpec) {
   EXPECT_THROW(superblue_profile("superblue99"), std::invalid_argument);
   EXPECT_THROW(superblue_profile("superblue1", 0.0), std::invalid_argument);
   EXPECT_THROW(superblue_profile("superblue1", 1.5), std::invalid_argument);
+  EXPECT_THROW(superblue_profile("superblue1", std::nan("")),
+               std::invalid_argument);
 }
 
 class IscasProfiles : public ::testing::TestWithParam<std::string> {};
@@ -153,6 +157,8 @@ TEST(Workloads, SyntheticLadderScalesPastTheSuites) {
   EXPECT_THROW(synthetic_profile("synth9k"), std::invalid_argument);
   EXPECT_THROW(synthetic_profile("synth4k", 0.0), std::invalid_argument);
   EXPECT_THROW(synthetic_profile("synth4k", 1.5), std::invalid_argument);
+  EXPECT_THROW(synthetic_profile("synth4k", std::nan("")),
+               std::invalid_argument);
 }
 
 TEST(Workloads, SyntheticProfilesGenerateValidNetlists) {
