@@ -13,8 +13,10 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <limits>
 #include <utility>
+#include <vector>
 
 namespace {
 
@@ -194,13 +196,11 @@ struct AttackRig {
   }
 };
 
-void attack_candidates(benchmark::State& state, int index_min_drivers,
-                       bool mcmf_warm = true) {
+void attack_candidates(benchmark::State& state, int index_min_drivers) {
   const auto& rig = AttackRig::instance();
   attack::ProximityOptions opts;
   opts.eval_patterns = 64;
   opts.index_min_drivers = index_min_drivers;
-  opts.mcmf_warm = mcmf_warm;
   for (auto _ : state) {
     const auto res = attack::proximity_attack(
         rig.nl, rig.nl, rig.layout.placement, rig.view, nullptr, opts);
@@ -216,81 +216,30 @@ void BM_AttackCandidatesIndexed(benchmark::State& state) {
   attack_candidates(state, 0);
 }
 
-// The ISSUE-10 comparison rig: the identical attack with the per-round
-// cold rebuild instead of the live warm-started solver. Metrics are
-// bit-identical to BM_AttackCandidatesIndexed (tests/test_attack.cpp
-// WarmColdRig.C7552) — only the matcher's wall time moves.
-void BM_AttackCandidatesColdMcmf(benchmark::State& state) {
-  attack_candidates(state, 0, /*mcmf_warm=*/false);
-}
-
-// ---- MCMF solver rigs ----
-// A random assignment-shaped network mirroring the attack's loop-repair
-// instances: S → sinks (cap 1, cost 0), sink → candidate drivers (cap 1,
-// integer-exact costs per the warm-start contract), drivers → T (small
-// caps). BM_McmfSolveCold prices the cold path's per-round rebuild;
-// BM_McmfRepairWarm prices one warm repair round (a handful of candidate
-// arcs removed, then resolve() reuses the surviving flow and potentials).
-constexpr int kMcmfSinks = 256;
-constexpr int kMcmfDrivers = 300;
-constexpr int kMcmfCandidates = 8;
-
-struct McmfNet {
-  attack::MinCostFlow flow{2 + kMcmfSinks + kMcmfDrivers};
-  // The sink→driver edge ids — the ones loop repair removes.
-  std::vector<int> sink_edges;
-  int s = 0;
-  int t = 1;
-};
-
-McmfNet mcmf_build() {
-  McmfNet net;
-  const auto sink_node = [](int si) { return 2 + si; };
-  const auto drv_node = [](int di) { return 2 + kMcmfSinks + di; };
-  util::Rng rng(23);
-  for (int si = 0; si < kMcmfSinks; ++si)
-    net.flow.add_edge(net.s, sink_node(si), 1, 0.0);
-  for (int di = 0; di < kMcmfDrivers; ++di)
-    net.flow.add_edge(drv_node(di), net.t,
-                      static_cast<int>(rng.range(1, 3)), 0.0);
-  for (int si = 0; si < kMcmfSinks; ++si)
-    for (int c = 0; c < kMcmfCandidates; ++c) {
-      const int di = static_cast<int>(rng.below(kMcmfDrivers));
-      const double cost =
-          static_cast<double>(rng.below(1u << 20)) * 268435456.0 +
-          static_cast<double>(rng.below(1u << 28));
-      net.sink_edges.push_back(
-          net.flow.add_edge(sink_node(si), drv_node(di), 1, cost));
-    }
-  return net;
-}
-
+// ---- Matching solver rig ----
+// A random attack-shaped network: 256 sinks with 8 candidate drivers each
+// among 300 (integer costs in the attack's form: a base in the high bits,
+// 28 tie-break bits in the low bits), drivers with room for 1-3 sinks.
+// Each iteration is one cold solve, as a loop-repair round makes.
 void BM_McmfSolveCold(benchmark::State& state) {
-  for (auto _ : state) {
-    auto net = mcmf_build();
-    net.flow.solve(net.s, net.t, kMcmfSinks);
-    benchmark::DoNotOptimize(net.flow.cost());
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-
-void BM_McmfRepairWarm(benchmark::State& state) {
-  auto net = mcmf_build();
-  net.flow.solve(net.s, net.t, kMcmfSinks);
-  constexpr int kRemovals = 8;  // ~ one loop-repair round's removals
-  std::size_t cursor = 0;
-  for (auto _ : state) {
-    // Each iteration repairs a fresh copy of the solved network, made
-    // outside the timer, after removing the next window of candidate arcs.
-    state.PauseTiming();
-    auto flow = net.flow;
-    state.ResumeTiming();
-    for (int k = 0; k < kRemovals; ++k) {
-      flow.remove_edge(net.sink_edges[cursor]);
-      cursor = (cursor + 1) % net.sink_edges.size();
+  constexpr int kSinks = 256;
+  constexpr int kDrivers = 300;
+  constexpr int kCandidates = 8;
+  util::Rng rng(23);
+  std::vector<int> capacity(kDrivers);
+  for (int& c : capacity) c = static_cast<int>(rng.range(1, 3));
+  std::vector<attack::Candidate> candidates;
+  for (int si = 0; si < kSinks; ++si)
+    for (int c = 0; c < kCandidates; ++c) {
+      const int di = static_cast<int>(rng.below(kDrivers));
+      const auto base = static_cast<std::int64_t>(rng.below(1u << 20));
+      const auto tie = static_cast<std::int64_t>(rng.below(1u << 28));
+      candidates.push_back({si, di, (base << 28) + tie});
     }
-    flow.resolve();
-    benchmark::DoNotOptimize(flow.cost());
+  for (auto _ : state) {
+    const auto match =
+        attack::min_cost_matching(kSinks, capacity, candidates);
+    benchmark::DoNotOptimize(match.data());
   }
   state.SetItemsProcessed(state.iterations());
 }
@@ -322,9 +271,7 @@ BENCHMARK(BM_RouteNets)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_ProximityAttack);
 BENCHMARK(BM_AttackCandidatesBrute)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_AttackCandidatesIndexed)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_AttackCandidatesColdMcmf)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_McmfSolveCold)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_McmfRepairWarm)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_GridIndexKNearest)->Arg(1000)->Arg(100000);
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -372,54 +373,31 @@ ProximityResult proximity_attack(const Netlist& feol, const Netlist& original,
   for (std::size_t si = 0; si < ns; ++si)
     per_sink[si] = finder.cheapest(view.fragments[snk_frag_ids[si]], k);
 
-  // Min-cost flow: source -> sink-fragments (cap 1) -> candidate drivers
-  // (cap 1 each edge) -> drivers -> target (cap = fanout budget).
+  // The matching network: sink fragments (one driver each) over their
+  // candidate arcs to driver fragments (capacity = fanout budget).
   std::vector<std::size_t> assigned(ns, static_cast<std::size_t>(-1));
   if (nd > 0 && ns > 0) {
-    const int S = 0;
-    const int T = 1;
-    const auto sink_node = [&](std::size_t si) { return 2 + static_cast<int>(si); };
-    const auto drv_node = [&](std::size_t di) {
-      return 2 + static_cast<int>(ns) + static_cast<int>(di);
-    };
-    MinCostFlow flow(2 + static_cast<int>(ns + nd));
-    for (std::size_t si = 0; si < ns; ++si) flow.add_edge(S, sink_node(si), 1, 0);
-    for (std::size_t di = 0; di < nd; ++di)
-      flow.add_edge(drv_node(di), T, drv_capacity[di], 0);
-    struct EdgeRef {
-      int edge;
-      std::size_t si, di;
-      double cost;
-    };
-    std::vector<EdgeRef> refs;
+    std::vector<Candidate> live;
     for (std::size_t si = 0; si < ns; ++si)
       for (const auto& c : per_sink[si]) {
-        // Integer-exact edge cost (the MCMF warm-start contract,
-        // ARCHITECTURE.md): the geometric cost quantized to 1/64 um in
-        // the high bits, 28 pseudorandom per-edge bits in the low bits.
-        // Every value the solver then forms — costs, potentials, path
-        // sums — is an integer below 2^53, so double arithmetic is EXACT
-        // and the cold and warm solver paths make identical comparisons;
-        // and by the isolation lemma the random low bits make the
-        // min-cost assignment UNIQUE (w.p. 1 - edges/2^28) — equal-cost
-        // optima are exactly where the two paths could legitimately land
-        // on different (equally good) assignments, and the attack
-        // promises they never do. The quantization (0.016 um) and the
-        // tie-break (1/64-um ulp) are both far below any real geometric
-        // preference. The solver takes no negative cost, which only a
-        // direction_bonus below ~0.3 on diagonal stubs could produce.
-        const double base =
-            std::clamp(std::round(c.cost * 64.0), 0.0, 4194304.0 /* 2^22 */);
-        std::uint64_t state =
-            0x9e3779b97f4a7c15ULL ^ (static_cast<std::uint64_t>(refs.size()) + 1);
-        const double tie =
-            static_cast<double>(util::splitmix64(state) >> 36);  // 28 bits
-        const double cost = base * 268435456.0 /* 2^28 */ + tie;
-        refs.push_back(
-            {flow.add_edge(sink_node(si), drv_node(c.di), 1, cost), si,
-             c.di, cost});
+        // Integer edge cost (the matching exactness contract,
+        // ARCHITECTURE.md): the geometric cost quantized to 1/64 um in the
+        // high bits, 28 pseudorandom per-edge bits in the low bits. By the
+        // isolation lemma the random low bits make the min-cost assignment
+        // UNIQUE (w.p. 1 - edges/2^28), so every exact solver returns the
+        // same one. The quantization (0.016 um) and the tie-break (1/64-um
+        // ulp) are both far below any real geometric preference. The
+        // solver takes no negative cost, which only a direction_bonus
+        // below ~0.3 on diagonal stubs could produce.
+        const auto base = static_cast<std::int64_t>(
+            std::clamp(std::round(c.cost * 64.0), 0.0, 4194304.0 /* 2^22 */));
+        std::uint64_t state = 0x9e3779b97f4a7c15ULL ^
+                              (static_cast<std::uint64_t>(live.size()) + 1);
+        const auto tie = static_cast<std::int64_t>(
+            util::splitmix64(state) >> 36);  // 28 bits
+        live.push_back({static_cast<int>(si), static_cast<int>(c.di),
+                        (base << 28) + tie});
       }
-    flow.solve(S, T, static_cast<int>(ns));
     auto commit = [&](std::size_t si, std::size_t di) {
       assigned[si] = di;
       const CellId drv =
@@ -436,45 +414,38 @@ ProximityResult proximity_attack(const Netlist& feol, const Netlist& original,
         if (hyp.would_loop(drv, s.cell)) return true;
       return false;
     };
-    // Loop repair through the solver itself: commit the flow's assignment
-    // in ascending (cost, si, di) order; edges that would close a
-    // combinational cycle are removed from the network and the flow
-    // re-solved — warm by default (only the removed arcs' imbalances
-    // re-route, the potentials carry over), or as a cold rebuild of the
-    // reduced network when opts.mcmf_warm is off. The perturbed costs
-    // make every round's optimum unique, so both paths walk identical
-    // rounds and land on the identical assignment (rig-enforced in
-    // tests/test_attack.cpp). Rounds are INCREMENTAL: commitments whose
-    // assignment the flow kept stay in the hypothesis untouched; only
-    // sinks the re-solve moved get uncommitted, re-checked and
-    // re-committed — so a round costs O(displaced) loop checks, not
-    // O(sinks). Each non-final round removes at least one edge, so the
-    // loop terminates.
-    std::vector<char> removed(refs.size(), 0);
-    std::vector<std::size_t> chosen;
-    std::vector<std::size_t> current(ns, static_cast<std::size_t>(-1));
+    // Loop repair through the solver itself: each round solves the
+    // network cold over the candidates still live and commits its
+    // assignment in ascending (cost, si, di) order; candidates that would
+    // close a combinational cycle leave the network, and the next round
+    // re-solves. Rounds are INCREMENTAL in the hypothesis: commitments
+    // whose assignment the new solve kept stay untouched; only sinks it
+    // moved get uncommitted, re-checked and re-committed — so a round
+    // costs O(displaced) loop checks, not O(sinks). Each non-final round
+    // removes at least one candidate, so the loop terminates.
+    std::vector<int> chosen;
+    std::vector<int> bad;
     for (;;) {
+      const auto match = min_cost_matching(ns, drv_capacity, live);
       chosen.clear();
-      for (std::size_t i = 0; i < refs.size(); ++i)
-        if (!removed[i] && flow.flow_on(refs[i].edge) > 0)
-          chosen.push_back(i);
-      std::sort(chosen.begin(), chosen.end(),
-                [&](std::size_t a, std::size_t b) {
-                  const EdgeRef& x = refs[a];
-                  const EdgeRef& y = refs[b];
-                  if (x.cost != y.cost) return x.cost < y.cost;
-                  if (x.si != y.si) return x.si < y.si;
-                  return x.di < y.di;
-                });
-      std::fill(current.begin(), current.end(),
-                static_cast<std::size_t>(-1));
-      for (const std::size_t i : chosen) current[refs[i].si] = refs[i].di;
+      for (const int i : match)
+        if (i >= 0) chosen.push_back(i);
+      std::sort(chosen.begin(), chosen.end(), [&](int a, int b) {
+        const Candidate& x = live[static_cast<std::size_t>(a)];
+        const Candidate& y = live[static_cast<std::size_t>(b)];
+        return std::tie(x.cost, x.sink, x.driver) <
+               std::tie(y.cost, y.sink, y.driver);
+      });
       // Uncommit the sinks the re-solve moved (or dropped); survivors keep
       // their hypothesis edges so the loop checks below run against
       // exactly the standing commitments.
       for (std::size_t si = 0; si < ns; ++si) {
-        if (assigned[si] == static_cast<std::size_t>(-1) ||
-            assigned[si] == current[si])
+        const std::size_t now =
+            match[si] < 0
+                ? static_cast<std::size_t>(-1)
+                : static_cast<std::size_t>(
+                      live[static_cast<std::size_t>(match[si])].driver);
+        if (assigned[si] == static_cast<std::size_t>(-1) || assigned[si] == now)
           continue;
         const CellId drv =
             feol.net(view.fragments[drv_frag_ids[assigned[si]]].net).driver;
@@ -482,38 +453,26 @@ ProximityResult proximity_attack(const Netlist& feol, const Netlist& original,
           hyp.remove_edge(drv, s.cell);
         assigned[si] = static_cast<std::size_t>(-1);
       }
-      std::vector<std::size_t> bad;
-      for (const std::size_t i : chosen) {
-        const EdgeRef& r = refs[i];
-        if (assigned[r.si] == r.di) continue;  // kept from an earlier round
-        if (creates_loop(r.si, r.di)) {
+      bad.clear();
+      for (const int i : chosen) {
+        const Candidate& c = live[static_cast<std::size_t>(i)];
+        const auto si = static_cast<std::size_t>(c.sink);
+        const auto di = static_cast<std::size_t>(c.driver);
+        if (assigned[si] == di) continue;  // kept from an earlier round
+        if (creates_loop(si, di)) {
           bad.push_back(i);
           continue;
         }
-        assigned[r.si] = r.di;
+        assigned[si] = di;
         const CellId drv =
-            feol.net(view.fragments[drv_frag_ids[r.di]].net).driver;
-        for (const auto& s : view.fragments[snk_frag_ids[r.si]].sinks)
+            feol.net(view.fragments[drv_frag_ids[di]].net).driver;
+        for (const auto& s : view.fragments[snk_frag_ids[si]].sinks)
           hyp.add_edge(drv, s.cell);
       }
       if (bad.empty()) break;  // commits stand
-      for (const std::size_t i : bad) removed[i] = 1;
-      if (opts.mcmf_warm) {
-        for (const std::size_t i : bad) flow.remove_edge(refs[i].edge);
-        flow.resolve();
-      } else {
-        flow = MinCostFlow(2 + static_cast<int>(ns + nd));
-        for (std::size_t si = 0; si < ns; ++si)
-          flow.add_edge(S, sink_node(si), 1, 0);
-        for (std::size_t di = 0; di < nd; ++di)
-          flow.add_edge(drv_node(di), T, drv_capacity[di], 0);
-        for (std::size_t i = 0; i < refs.size(); ++i)
-          if (!removed[i])
-            refs[i].edge = flow.add_edge(sink_node(refs[i].si),
-                                         drv_node(refs[i].di), 1,
-                                         refs[i].cost);
-        flow.solve(S, T, static_cast<int>(ns));
-      }
+      // Mark the loop-closing candidates, then drop them from the network.
+      for (const int i : bad) live[static_cast<std::size_t>(i)].sink = -1;
+      std::erase_if(live, [](const Candidate& c) { return c.sink < 0; });
     }
     for (std::size_t si = 0; si < ns; ++si)
       if (assigned[si] != static_cast<std::size_t>(-1)) ++result.matched;

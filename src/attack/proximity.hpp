@@ -9,10 +9,11 @@
 //   (ii) avoidance of combinational loops in the hypothesis netlist,
 //   (iii) load-capacitance constraints per driver strength,
 //   (iv) direction of the dangling wires at the split layer.
-// Matching is the paper's network-flow formulation: a min-cost flow from
-// sink fragments to candidate drivers (capacity = load budget) picks the
-// least-total-cost assignment; loop repair removes the edges that would
-// close a combinational cycle and re-solves until the assignment stands.
+// Matching is the paper's network-flow formulation: a min-cost maximum
+// b-matching (attack/mcmf) of sink fragments to candidate drivers
+// (capacity = load budget) picks the least-total-cost assignment; loop
+// repair removes the candidates that would close a combinational cycle and
+// solves again, cold, until the assignment stands.
 // Every sink is eventually connected (falling back to the nearest loop-free
 // driver), so the recovered netlist is complete and simulable — exactly
 // what the CCR/OER/HD metrics need.
@@ -73,12 +74,6 @@ struct ProximityOptions {
   /// sweeps); the SAT-equivalence attacker turns it on to feed
   /// core::check_equivalence.
   bool keep_recovered = false;
-  /// Warm-start the min-cost-flow solver across loop-repair rounds (the
-  /// removed edges' imbalances re-route against the carried-over
-  /// potentials). Off forces a cold rebuild of the reduced network per
-  /// round — same assignment, strictly more work; kept as the equality
-  /// oracle for the cold==warm rig tests.
-  bool mcmf_warm = true;
 };
 
 struct ProximityResult {

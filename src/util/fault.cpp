@@ -1,5 +1,7 @@
 #include "util/fault.hpp"
 
+#include "util/args.hpp"
+
 #include <cstdlib>
 #include <mutex>
 #include <stdexcept>
@@ -43,14 +45,8 @@ FaultPoint point_from_string(const std::string& name) {
 }
 
 std::size_t parse_positive(const std::string& s, const char* what) {
-  if (s.empty()) throw std::invalid_argument(std::string("fault: empty ") + what);
-  std::size_t v = 0;
-  for (const char c : s) {
-    if (c < '0' || c > '9')
-      throw std::invalid_argument(std::string("fault: bad ") + what + " '" + s +
-                                  "'");
-    v = v * 10 + static_cast<std::size_t>(c - '0');
-  }
+  // Whole digits only, and no overflow: a count past 2^64 must not wrap.
+  const std::size_t v = parse_count(s, std::string("fault: ") + what);
   if (v == 0)
     throw std::invalid_argument(std::string("fault: ") + what +
                                 " must be >= 1 in '" + s + "'");

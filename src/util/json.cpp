@@ -52,8 +52,17 @@ class Parser {
     skip_ws();
     const char c = peek();
     switch (c) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{':
+      case '[': {
+        // Each level recurses once; a line of 200,000 '[' would overflow
+        // the stack instead of failing like any other malformed line.
+        if (depth_ == kMaxDepth)
+          fail("nesting deeper than " + std::to_string(kMaxDepth));
+        ++depth_;
+        Value v = c == '{' ? parse_object() : parse_array();
+        --depth_;
+        return v;
+      }
       case '"': {
         Value v;
         v.type = Value::Type::String;
@@ -208,8 +217,12 @@ class Parser {
     return v;
   }
 
+  /// Store records nest 5 deep; this leaves room without risking the stack.
+  static constexpr int kMaxDepth = 64;
+
   std::string_view text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 [[noreturn]] void type_error(const char* want) {

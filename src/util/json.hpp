@@ -51,7 +51,7 @@ class Value {
 
 /// Parse one JSON document; the whole input must be consumed (trailing
 /// whitespace allowed). Throws std::invalid_argument with a byte offset on
-/// malformed input.
+/// malformed input, and on arrays and objects nested more than 64 deep.
 Value parse(std::string_view text);
 
 }  // namespace sm::util::json

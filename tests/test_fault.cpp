@@ -35,6 +35,13 @@ TEST(FaultArm, BadSpecsThrow) {
                std::invalid_argument);
   EXPECT_THROW(util::fault_arm("crash-before-append:1:ms=5:extra"),
                std::invalid_argument);
+  // Counts past 2^64 - 1 are rejected, not wrapped to 1 or 0.
+  EXPECT_THROW(util::fault_arm("crash-before-append:18446744073709551617"),
+               std::invalid_argument);
+  EXPECT_THROW(util::fault_arm("slow-cell:1:ms=18446744073709551616"),
+               std::invalid_argument);
+  EXPECT_THROW(util::fault_arm("crash-before-append:+1"),
+               std::invalid_argument);
 }
 
 TEST(FaultArm, BadSpecLeavesPreviousScheduleInstalled) {

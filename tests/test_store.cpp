@@ -99,6 +99,14 @@ TEST(Json, RejectsMalformedInput) {
   EXPECT_THROW(util::json::parse("[1,]"), std::invalid_argument);
   EXPECT_THROW(util::json::parse("nul"), std::invalid_argument);
   EXPECT_THROW(util::json::parse("\"open"), std::invalid_argument);
+  // Nesting is capped at 64 levels: past it the parser throws instead of
+  // recursing until the stack overflows.
+  EXPECT_THROW(util::json::parse(std::string(100000, '[')),
+               std::invalid_argument);
+  EXPECT_THROW(util::json::parse(std::string(65, '[') + std::string(65, ']')),
+               std::invalid_argument);
+  EXPECT_NO_THROW(
+      util::json::parse(std::string(64, '[') + std::string(64, ']')));
 }
 
 // --------------------------------------------------------------- store ---
@@ -216,6 +224,23 @@ TEST(Store, LoadSkipsTornTailAndMergesFiles) {
   EXPECT_TRUE(store.records.count(b.config_hash));
   std::remove(p1.c_str());
   std::remove(p2.c_str());
+}
+
+TEST(Store, LoadSkipsDeeplyNestedLine) {
+  // A line of 200,000 '[' is skipped like any torn line, not a crash.
+  const std::string path = testing::TempDir() + "sm_store_test_deep.jsonl";
+  std::remove(path.c_str());
+  const auto a = sample_record();
+  {
+    std::ofstream f(path);
+    f << to_store_line(a) << '\n' << std::string(200000, '[') << '\n';
+  }
+  const auto store = sweep::load_store({path}, /*must_exist=*/true);
+  EXPECT_EQ(store.lines, 2u);
+  EXPECT_EQ(store.skipped, 1u);
+  ASSERT_EQ(store.records.size(), 1u);
+  EXPECT_TRUE(store.records.count(a.config_hash));
+  std::remove(path.c_str());
 }
 
 TEST(Store, MissingFilePolicy) {
