@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <optional>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -26,62 +27,6 @@ using util::GridIndex;
 using util::Point;
 
 namespace {
-
-/// Hypothesis connectivity the attacker grows: visible FEOL connections plus
-/// committed guesses. Supports incremental combinational-loop checks. The
-/// visited set is an epoch-stamped vector reused across queries — would_loop
-/// sits in the innermost commit loops and must not allocate per call.
-class Hypothesis {
- public:
-  explicit Hypothesis(const Netlist& nl) : nl_(&nl) {
-    adj_.resize(nl.num_cells());
-    mark_.assign(nl.num_cells(), 0);
-  }
-
-  void add_edge(CellId from, CellId to) { adj_[from].push_back(to); }
-
-  /// Undo one earlier add_edge(from, to) — the latest matching occurrence
-  /// (duplicates are legitimate: two sink fragments may pull the same
-  /// driver->cell pair). The caller guarantees the edge exists.
-  void remove_edge(CellId from, CellId to) {
-    auto& v = adj_[from];
-    const auto it = std::find(v.rbegin(), v.rend(), to);
-    v.erase(std::next(it).base());
-  }
-
-  /// Would from->to close a combinational cycle? (from reachable from to)
-  bool would_loop(CellId from, CellId to) const {
-    if (!nl_->is_combinational(from)) return false;
-    if (from == to) return true;
-    if (++epoch_ == 0) {  // epoch wrapped: old stamps are ambiguous, reset
-      std::fill(mark_.begin(), mark_.end(), 0);
-      epoch_ = 1;
-    }
-    stack_.clear();
-    stack_.push_back(to);
-    mark_[to] = epoch_;
-    while (!stack_.empty()) {
-      const CellId cur = stack_.back();
-      stack_.pop_back();
-      if (!nl_->is_combinational(cur)) continue;
-      for (const CellId nxt : adj_[cur]) {
-        if (nxt == from) return true;
-        if (mark_[nxt] != epoch_) {
-          mark_[nxt] = epoch_;
-          stack_.push_back(nxt);
-        }
-      }
-    }
-    return false;
-  }
-
- private:
-  const Netlist* nl_;
-  std::vector<std::vector<CellId>> adj_;
-  mutable std::vector<std::uint32_t> mark_;  ///< visited iff == epoch_
-  mutable std::uint32_t epoch_ = 0;
-  mutable std::vector<CellId> stack_;
-};
 
 Point frag_anchor(const Fragment& f) {
   return f.vpins.empty() ? f.anchor : f.vpins.front().pos;
@@ -179,7 +124,7 @@ struct Cand {
 /// equals the brute-force scan. Small instances (or a direction_bonus low
 /// enough to void the bound) use brute force directly. The rankings are
 /// pure functions of the view; only the per-query visit scratch is
-/// mutable, like Hypothesis's.
+/// mutable.
 class CandidateFinder {
  public:
   CandidateFinder(const Netlist& feol, const SplitView& view,
@@ -330,11 +275,18 @@ ProximityResult proximity_attack(const Netlist& feol, const Netlist& original,
                               std::make_pair(cell, pin));
   };
 
-  Hypothesis hyp(feol);
-  for (NetId n = 0; n < feol.num_nets(); ++n) {
-    const auto& net = feol.net(n);
-    for (const auto& s : net.sinks)
-      if (!pin_open(s.cell, s.pin)) hyp.add_edge(net.driver, s.cell);
+  // The hypothesis netlist the attacker grows (visible FEOL connections
+  // plus committed guesses) as a dynamic topological order, for the loop
+  // hint (ii). Without that hint nothing reads it, and commits could make
+  // it cyclic, so it is not built.
+  std::optional<netlist::DynamicTopoOrder> hyp;
+  if (opts.use_loops) {
+    hyp.emplace(feol);
+    for (NetId n = 0; n < feol.num_nets(); ++n) {
+      const auto& net = feol.net(n);
+      for (const auto& s : net.sinks)
+        if (!pin_open(s.cell, s.pin)) hyp->add_edge(net.driver, s.cell);
+    }
   }
 
   // Driver fanout capacity from the load budget (hint (iii)).
@@ -398,20 +350,29 @@ ProximityResult proximity_attack(const Netlist& feol, const Netlist& original,
         live.push_back({static_cast<int>(si), static_cast<int>(c.di),
                         (base << 28) + tie});
       }
+    const auto driver_cell = [&](std::size_t di) {
+      return feol.net(view.fragments[drv_frag_ids[di]].net).driver;
+    };
     auto commit = [&](std::size_t si, std::size_t di) {
       assigned[si] = di;
-      const CellId drv =
-          feol.net(view.fragments[drv_frag_ids[di]].net).driver;
+      if (!hyp) return;
+      const CellId drv = driver_cell(di);
       for (const auto& s : view.fragments[snk_frag_ids[si]].sinks)
-        hyp.add_edge(drv, s.cell);
-      ++result.matched;
+        hyp->add_edge(drv, s.cell);
+    };
+    auto uncommit = [&](std::size_t si) {
+      if (hyp) {
+        const CellId drv = driver_cell(assigned[si]);
+        for (const auto& s : view.fragments[snk_frag_ids[si]].sinks)
+          hyp->remove_edge(drv, s.cell);
+      }
+      assigned[si] = static_cast<std::size_t>(-1);
     };
     auto creates_loop = [&](std::size_t si, std::size_t di) {
-      if (!opts.use_loops) return false;
-      const CellId drv =
-          feol.net(view.fragments[drv_frag_ids[di]].net).driver;
+      if (!hyp) return false;
+      const CellId drv = driver_cell(di);
       for (const auto& s : view.fragments[snk_frag_ids[si]].sinks)
-        if (hyp.would_loop(drv, s.cell)) return true;
+        if (hyp->would_loop(drv, s.cell)) return true;
       return false;
     };
     // Loop repair through the solver itself: each round solves the
@@ -445,13 +406,8 @@ ProximityResult proximity_attack(const Netlist& feol, const Netlist& original,
                 ? static_cast<std::size_t>(-1)
                 : static_cast<std::size_t>(
                       live[static_cast<std::size_t>(match[si])].driver);
-        if (assigned[si] == static_cast<std::size_t>(-1) || assigned[si] == now)
-          continue;
-        const CellId drv =
-            feol.net(view.fragments[drv_frag_ids[assigned[si]]].net).driver;
-        for (const auto& s : view.fragments[snk_frag_ids[si]].sinks)
-          hyp.remove_edge(drv, s.cell);
-        assigned[si] = static_cast<std::size_t>(-1);
+        if (assigned[si] != static_cast<std::size_t>(-1) && assigned[si] != now)
+          uncommit(si);
       }
       bad.clear();
       for (const int i : chosen) {
@@ -463,11 +419,7 @@ ProximityResult proximity_attack(const Netlist& feol, const Netlist& original,
           bad.push_back(i);
           continue;
         }
-        assigned[si] = di;
-        const CellId drv =
-            feol.net(view.fragments[drv_frag_ids[di]].net).driver;
-        for (const auto& s : view.fragments[snk_frag_ids[si]].sinks)
-          hyp.add_edge(drv, s.cell);
+        commit(si, di);
       }
       if (bad.empty()) break;  // commits stand
       // Mark the loop-closing candidates, then drop them from the network.
@@ -475,7 +427,8 @@ ProximityResult proximity_attack(const Netlist& feol, const Netlist& original,
       std::erase_if(live, [](const Candidate& c) { return c.sink < 0; });
     }
     for (std::size_t si = 0; si < ns; ++si)
-      if (assigned[si] != static_cast<std::size_t>(-1)) ++result.matched;
+      if (assigned[si] != static_cast<std::size_t>(-1))
+        result.matched += view.fragments[snk_frag_ids[si]].sinks.size();
     // Loop/completion repair, stage 1: walk each unassigned sink's cached
     // candidate list — it already holds the k cheapest drivers in commit
     // order, so no pair_cost is recomputed here.

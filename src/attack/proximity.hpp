@@ -78,7 +78,9 @@ struct ProximityOptions {
 
 struct ProximityResult {
   std::size_t open_sinks = 0;      ///< sink pins the attacker had to connect
-  std::size_t matched = 0;         ///< connected by the main matching
+  /// Open sink pins the main matching connected; the completion repair
+  /// connects the rest and adds nothing here.
+  std::size_t matched = 0;
   std::size_t correct = 0;         ///< equal to the original netlist
   std::size_t protected_total = 0; ///< swapped (randomized) sink pins seen
   std::size_t protected_correct = 0;

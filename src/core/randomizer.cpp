@@ -62,6 +62,18 @@ RandomizeResult randomize(const Netlist& original,
     return cands;
   };
 
+  // The erroneous netlist's edges in a dynamic topological order, which
+  // answers each swap's loop checks; accepted swaps are mirrored on it.
+  netlist::DynamicTopoOrder order(nl);
+  for (NetId n = 0; n < nl.num_nets(); ++n)
+    for (const auto& s : nl.net(n).sinks)
+      order.add_edge(nl.net(n).driver, s.cell);
+  const auto reconnect = [&](const Sink& s, NetId from, NetId to) {
+    nl.reconnect_sink(s.cell, s.pin, to);
+    order.remove_edge(nl.net(from).driver, s.cell);
+    order.add_edge(nl.net(to).driver, s.cell);
+  };
+
   const auto try_one_swap = [&]() -> bool {
     const auto cands = collect_candidates();
     if (cands.size() < 2) return false;
@@ -86,10 +98,10 @@ RandomizeResult randomize(const Netlist& original,
       const CellId drv_a = nl.net(a.net).driver;
       const CellId drv_b = nl.net(b.net).driver;
       // Loop checks: b.net's driver will feed a.sink's cell and vice versa.
-      if (netlist::creates_combinational_loop(nl, drv_b, a.sink.cell)) continue;
-      if (netlist::creates_combinational_loop(nl, drv_a, b.sink.cell)) continue;
-      nl.reconnect_sink(a.sink.cell, a.sink.pin, b.net);
-      nl.reconnect_sink(b.sink.cell, b.sink.pin, a.net);
+      if (order.would_loop(drv_b, a.sink.cell)) continue;
+      if (order.would_loop(drv_a, b.sink.cell)) continue;
+      reconnect(a.sink, a.net, b.net);
+      reconnect(b.sink, b.net, a.net);
       result.ledger.entries.push_back({a.net, a.sink, b.net, b.sink});
       return true;
     }

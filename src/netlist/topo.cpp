@@ -1,6 +1,9 @@
 #include "netlist/topo.hpp"
 
+#include <algorithm>
+#include <iterator>
 #include <stdexcept>
+#include <utility>
 
 namespace sm::netlist {
 namespace {
@@ -64,58 +67,92 @@ std::vector<int> levelize(const Netlist& nl) {
   return level;
 }
 
-bool creates_combinational_loop(const Netlist& nl, CellId driver,
-                                CellId sink_cell) {
-  // A DFF/port output does not combinationally depend on its inputs, so a
-  // new edge from it can never close a combinational cycle.
-  if (!nl.is_combinational(driver)) return false;
-  if (driver == sink_cell) return true;
-  if (!nl.is_combinational(sink_cell)) return false;  // path dies immediately
-  // DFS from sink_cell's fanout looking for `driver`.
-  std::vector<bool> seen(nl.num_cells(), false);
-  std::vector<CellId> stack{sink_cell};
-  seen[sink_cell] = true;
-  while (!stack.empty()) {
-    const CellId cur = stack.back();
-    stack.pop_back();
-    const NetId out = nl.cell(cur).output;
-    if (out == kInvalidNet) continue;
-    for (const Sink& s : nl.net(out).sinks) {
-      if (s.cell == driver) return true;
-      if (!seen[s.cell] && nl.is_combinational(s.cell)) {
-        seen[s.cell] = true;
-        stack.push_back(s.cell);
+DynamicTopoOrder::DynamicTopoOrder(const Netlist& nl)
+    : comb_(nl.num_cells()),
+      pos_(nl.num_cells()),
+      succ_(nl.num_cells()),
+      mark_(nl.num_cells(), 0) {
+  auto order = topological_order(nl);
+  if (!order)
+    throw std::logic_error("DynamicTopoOrder: combinational cycle present");
+  cell_at_ = std::move(*order);
+  for (std::size_t i = 0; i < cell_at_.size(); ++i)
+    pos_[cell_at_[i]] = static_cast<std::uint32_t>(i);
+  for (CellId id = 0; id < nl.num_cells(); ++id)
+    comb_[id] = nl.is_combinational(id);
+}
+
+bool DynamicTopoOrder::reaches(CellId src, CellId dst) const {
+  if (++epoch_ == 0) {  // epoch wrapped: old stamps are ambiguous, reset
+    std::fill(mark_.begin(), mark_.end(), 0);
+    epoch_ = 1;
+  }
+  // Every stored edge climbs the order, so a cell at or above dst's
+  // position cannot lead back down to dst; succ_ of a non-combinational
+  // cell is empty, so paths stop there.
+  const std::uint32_t ub = pos_[dst];
+  stack_.clear();
+  stack_.push_back(src);
+  mark_[src] = epoch_;
+  while (!stack_.empty()) {
+    const CellId cur = stack_.back();
+    stack_.pop_back();
+    for (const CellId nxt : succ_[cur]) {
+      if (nxt == dst) return true;
+      if (pos_[nxt] < ub && mark_[nxt] != epoch_) {
+        mark_[nxt] = epoch_;
+        stack_.push_back(nxt);
       }
     }
   }
   return false;
 }
 
-std::vector<CellId> combinational_fanout(const Netlist& nl, NetId net) {
-  std::vector<bool> seen(nl.num_cells(), false);
-  std::vector<CellId> result;
-  std::vector<CellId> stack;
-  for (const Sink& s : nl.net(net).sinks) {
-    if (!seen[s.cell]) {
-      seen[s.cell] = true;
-      stack.push_back(s.cell);
-    }
-  }
-  while (!stack.empty()) {
-    const CellId cur = stack.back();
-    stack.pop_back();
-    result.push_back(cur);
-    if (!nl.is_combinational(cur)) continue;
-    const NetId out = nl.cell(cur).output;
-    if (out == kInvalidNet) continue;
-    for (const Sink& s : nl.net(out).sinks) {
-      if (!seen[s.cell]) {
-        seen[s.cell] = true;
-        stack.push_back(s.cell);
+bool DynamicTopoOrder::would_loop(CellId from, CellId to) const {
+  if (!comb_[from]) return false;
+  if (from == to) return true;
+  if (pos_[from] < pos_[to]) return false;
+  return reaches(to, from);
+}
+
+void DynamicTopoOrder::add_edge(CellId from, CellId to) {
+  if (!comb_[from]) return;  // constrains nothing
+  if (from == to || (pos_[to] < pos_[from] && reaches(to, from)))
+    throw std::logic_error("DynamicTopoOrder: edge closes a cycle");
+  if (pos_[to] < pos_[from]) {
+    // reaches() stamped every cell that `to` reaches inside the window
+    // [pos(to), pos(from)]. Move them, in their old relative order, past
+    // the unstamped cells (`from` among them), which keep theirs. Edges
+    // among either group keep their direction, and no edge leads from a
+    // stamped cell to an unstamped one inside the window.
+    const std::uint32_t lb = pos_[to];
+    const std::uint32_t ub = pos_[from];
+    std::uint32_t next = lb;
+    moved_.clear();
+    for (std::uint32_t i = lb; i <= ub; ++i) {
+      const CellId c = cell_at_[i];
+      if (mark_[c] == epoch_) {
+        moved_.push_back(c);
+      } else {
+        cell_at_[next] = c;
+        pos_[c] = next++;
       }
     }
+    for (const CellId c : moved_) {
+      cell_at_[next] = c;
+      pos_[c] = next++;
+    }
   }
-  return result;
+  succ_[from].push_back(to);
+}
+
+void DynamicTopoOrder::remove_edge(CellId from, CellId to) {
+  if (!comb_[from]) return;
+  auto& v = succ_[from];
+  const auto it = std::find(v.rbegin(), v.rend(), to);
+  if (it == v.rend())
+    throw std::logic_error("DynamicTopoOrder: removing an absent edge");
+  v.erase(std::next(it).base());
 }
 
 }  // namespace sm::netlist

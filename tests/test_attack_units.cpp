@@ -110,6 +110,25 @@ TEST(AttackUnits, GlobalAssignmentResolvesCompetition) {
   EXPECT_EQ(res.correct, 2u);
 }
 
+TEST(AttackUnits, MatchedCountsOnlyTheMainMatching) {
+  // Both sinks see only driver 1, which has room for one: the matching
+  // connects the nearer sink, and the completion repair hands the other to
+  // driver 1 anyway. `matched` counts the first sink only.
+  Rig rig;
+  const auto view = rig.view(10, 80, 12, 14);
+  attack::ProximityOptions opts;
+  opts.eval_patterns = 64;
+  opts.candidates_per_sink = 1;
+  // Drivers are PI pads (5 kOhm): budget 10/5 = 2 fF ~ capacity 1 sink.
+  opts.load_budget_ff_per_ks = 10.0;
+  const auto res = attack::proximity_attack(rig.nl, rig.nl, rig.pl, view,
+                                            nullptr, opts);
+  EXPECT_EQ(res.open_sinks, 2u);
+  EXPECT_EQ(res.matched, 1u);
+  EXPECT_EQ(res.correct, 1u);  // s2 on d1 is wrong
+  EXPECT_GT(res.rates.patterns, 0u);  // the repair completed the netlist
+}
+
 TEST(AttackUnits, DirectionHintBreaksTies) {
   Rig rig;
   auto view = rig.view(40, 60, 50, 50);  // both sinks equidistant-ish

@@ -3,8 +3,13 @@
 #include "netlist/cell_library.hpp"
 #include "netlist/netlist.hpp"
 #include "netlist/topo.hpp"
+#include "util/rng.hpp"
 
 #include <gtest/gtest.h>
+
+#include <string>
+#include <utility>
+#include <vector>
 
 namespace {
 
@@ -126,21 +131,34 @@ TEST_F(NetlistTest, LevelizeDepths) {
   EXPECT_EQ(level[g2], 1);
 }
 
+/// The netlist's own driver -> sink-cell edges in a DynamicTopoOrder.
+DynamicTopoOrder order_of(const Netlist& nl) {
+  DynamicTopoOrder order(nl);
+  for (NetId n = 0; n < nl.num_nets(); ++n)
+    for (const Sink& s : nl.net(n).sinks)
+      order.add_edge(nl.net(n).driver, s.cell);
+  return order;
+}
+
 TEST_F(NetlistTest, LoopDetection) {
   Netlist nl = make_small(lib);
   const CellId g1 = nl.find_cell("g1");
   const CellId g2 = nl.find_cell("g2");
+  DynamicTopoOrder order = order_of(nl);
   // Feeding g2's output back into g1 closes a combinational loop.
-  EXPECT_TRUE(creates_combinational_loop(nl, g2, g1));
+  EXPECT_TRUE(order.would_loop(g2, g1));
+  EXPECT_THROW(order.add_edge(g2, g1), std::logic_error);
   // Feeding a PI forward never loops.
-  EXPECT_FALSE(creates_combinational_loop(nl, nl.net(nl.primary_input_net(0)).driver, g2));
+  EXPECT_FALSE(order.would_loop(nl.net(nl.primary_input_net(0)).driver, g2));
   // Self-loop counts.
-  EXPECT_TRUE(creates_combinational_loop(nl, g1, g1));
+  EXPECT_TRUE(order.would_loop(g1, g1));
+  EXPECT_THROW(order.add_edge(g1, g1), std::logic_error);
 
   // Actually closing the loop makes the netlist cyclic.
   nl.reconnect_sink(g1, 1, nl.cell(g2).output);
   EXPECT_FALSE(is_acyclic(nl));
   EXPECT_THROW(levelize(nl), std::logic_error);
+  EXPECT_THROW(DynamicTopoOrder{nl}, std::logic_error);
 }
 
 TEST_F(NetlistTest, DffBreaksCombinationalLoops) {
@@ -154,25 +172,150 @@ TEST_F(NetlistTest, DffBreaksCombinationalLoops) {
   nl.add_primary_output("z", nl.cell(g).output);
   nl.validate();
   EXPECT_TRUE(is_acyclic(nl));  // DFF breaks the cycle
-  EXPECT_FALSE(creates_combinational_loop(nl, ff, g));
+  DynamicTopoOrder order = order_of(nl);
+  EXPECT_FALSE(order.would_loop(ff, g));
+  EXPECT_NO_THROW(order.add_edge(ff, g));
 }
 
-TEST_F(NetlistTest, CombinationalFanoutStopsAtDff) {
-  Netlist nl(lib, "seq2");
-  const NetId a = nl.add_primary_input("a");
-  const CellId inv = nl.add_cell("inv", lib.id_of("INV_X1"));
-  nl.connect_input(inv, 0, a);
-  const CellId ff = nl.add_cell("ff", lib.dff());
-  nl.connect_input(ff, 0, nl.cell(inv).output);
-  const CellId inv2 = nl.add_cell("inv2", lib.id_of("INV_X1"));
-  nl.connect_input(inv2, 0, nl.cell(ff).output);
-  nl.add_primary_output("z", nl.cell(inv2).output);
+/// The full forward-cone search the dynamic order replaced: is `from`
+/// combinational and reachable from `to` over edges out of combinational
+/// cells? The reference for DynamicTopoOrderMatchesFullSearch.
+bool full_search_would_loop(const Netlist& nl,
+                            const std::vector<std::pair<CellId, CellId>>& edges,
+                            CellId from, CellId to) {
+  if (!nl.is_combinational(from)) return false;
+  if (from == to) return true;
+  std::vector<std::vector<CellId>> adj(nl.num_cells());
+  for (const auto& [u, v] : edges) adj[u].push_back(v);
+  std::vector<bool> seen(nl.num_cells(), false);
+  std::vector<CellId> stack{to};
+  seen[to] = true;
+  while (!stack.empty()) {
+    const CellId cur = stack.back();
+    stack.pop_back();
+    if (!nl.is_combinational(cur)) continue;
+    for (const CellId nxt : adj[cur]) {
+      if (nxt == from) return true;
+      if (!seen[nxt]) {
+        seen[nxt] = true;
+        stack.push_back(nxt);
+      }
+    }
+  }
+  return false;
+}
 
-  const auto fan = combinational_fanout(nl, a);
-  // inv and ff are reached; inv2 is beyond the sequential boundary.
-  EXPECT_NE(std::find(fan.begin(), fan.end(), inv), fan.end());
-  EXPECT_NE(std::find(fan.begin(), fan.end(), ff), fan.end());
-  EXPECT_EQ(std::find(fan.begin(), fan.end(), inv2), fan.end());
+/// A random acyclic netlist of ports, DFFs and gates. A gate reads PIs, DFF
+/// outputs and earlier gates, a pin at a time, so one net often feeds two
+/// pins of a cell (duplicate edges); a DFF reads any gate.
+Netlist random_netlist(const CellLibrary& lib, sm::util::Rng& rng) {
+  Netlist nl(lib, "random");
+  std::vector<NetId> sources;
+  for (int i = 0; i < 3; ++i)
+    sources.push_back(nl.add_primary_input("pi" + std::to_string(i)));
+  std::vector<CellId> ffs;
+  for (int i = 0; i < 3; ++i) {
+    ffs.push_back(nl.add_cell("ff" + std::to_string(i), lib.dff()));
+    sources.push_back(nl.cell(ffs.back()).output);
+  }
+  const CellTypeId types[] = {lib.id_of("INV_X1"), lib.id_of("NAND2_X1"),
+                              lib.id_of("AND2_X1")};
+  std::vector<CellId> gates;
+  for (int i = 0; i < 24; ++i) {
+    const CellTypeId t = types[rng.below(3)];
+    const CellId g = nl.add_cell("g" + std::to_string(i), t);
+    for (int pin = 0; pin < lib.type(t).num_inputs; ++pin)
+      nl.connect_input(g, pin, sources[rng.below(sources.size())]);
+    sources.push_back(nl.cell(g).output);
+    gates.push_back(g);
+  }
+  for (const CellId ff : ffs)
+    nl.connect_input(ff, 0, nl.cell(gates[rng.below(gates.size())]).output);
+  for (int i = 0; i < 3; ++i)
+    nl.add_primary_output(
+        "po" + std::to_string(i),
+        nl.cell(gates[gates.size() - 1 - static_cast<std::size_t>(i)]).output);
+  nl.validate();
+  return nl;
+}
+
+TEST(DynamicTopoOrder, MatchesFullSearchUnderRandomEdits) {
+  // Random add/remove sequences over random netlists with DFFs, ports and
+  // duplicate edges. Every would_loop answer must equal the full search,
+  // an add that closes a cycle must throw and change nothing, and after
+  // every step each edge out of a combinational cell must climb the order.
+  CellLibrary lib{6};
+  sm::util::Rng rng(0x70b0);
+  std::size_t reorders = 0, loops = 0, removals = 0;
+  for (int graph = 0; graph < 60; ++graph) {
+    const Netlist nl = random_netlist(lib, rng);
+    std::vector<std::pair<CellId, CellId>> edges;
+    for (NetId n = 0; n < nl.num_nets(); ++n)
+      for (const Sink& s : nl.net(n).sinks)
+        edges.push_back({nl.net(n).driver, s.cell});
+    DynamicTopoOrder order = order_of(nl);
+    const auto cells = static_cast<std::uint64_t>(nl.num_cells());
+    for (int step = 0; step < 300; ++step) {
+      if (!edges.empty() && rng.below(3) == 0) {
+        const auto i = static_cast<std::size_t>(rng.below(edges.size()));
+        order.remove_edge(edges[i].first, edges[i].second);
+        edges.erase(edges.begin() + static_cast<std::ptrdiff_t>(i));
+        ++removals;
+      } else {
+        // A quarter of the adds repeat an existing edge: a duplicate.
+        const auto [from, to] =
+            !edges.empty() && rng.below(4) == 0
+                ? edges[static_cast<std::size_t>(rng.below(edges.size()))]
+                : std::pair<CellId, CellId>{
+                      static_cast<CellId>(rng.below(cells)),
+                      static_cast<CellId>(rng.below(cells))};
+        const bool loop = full_search_would_loop(nl, edges, from, to);
+        ASSERT_EQ(order.would_loop(from, to), loop)
+            << "graph " << graph << " step " << step;
+        if (loop) {
+          ++loops;
+          EXPECT_THROW(order.add_edge(from, to), std::logic_error);
+        } else {
+          if (nl.is_combinational(from) &&
+              order.position(to) < order.position(from))
+            ++reorders;
+          order.add_edge(from, to);
+          edges.push_back({from, to});
+        }
+      }
+      for (const auto& [u, v] : edges) {
+        if (nl.is_combinational(u)) {
+          ASSERT_LT(order.position(u), order.position(v))
+              << "graph " << graph << " step " << step;
+        }
+      }
+      for (int q = 0; q < 8; ++q) {
+        const auto from = static_cast<CellId>(rng.below(cells));
+        const auto to = static_cast<CellId>(rng.below(cells));
+        ASSERT_EQ(order.would_loop(from, to),
+                  full_search_would_loop(nl, edges, from, to))
+            << "graph " << graph << " step " << step;
+      }
+    }
+  }
+  // The sequences exercise every path: reorders, refused adds, removals.
+  EXPECT_GT(reorders, 1000u);
+  EXPECT_GT(loops, 1000u);
+  EXPECT_GT(removals, 4000u);
+}
+
+TEST(DynamicTopoOrder, RemovingAnAbsentEdgeThrows) {
+  CellLibrary lib{6};
+  const Netlist nl = make_small(lib);
+  DynamicTopoOrder order = order_of(nl);
+  const CellId g1 = nl.find_cell("g1"), g2 = nl.find_cell("g2");
+  EXPECT_THROW(order.remove_edge(g2, g1), std::logic_error);
+  order.remove_edge(g1, g2);
+  EXPECT_THROW(order.remove_edge(g1, g2), std::logic_error);
+  // With g1 -> g2 gone, the reverse edge is legal and reorders the two.
+  EXPECT_FALSE(order.would_loop(g2, g1));
+  order.add_edge(g2, g1);
+  EXPECT_LT(order.position(g2), order.position(g1));
 }
 
 TEST_F(NetlistTest, CloneIsIndependent) {

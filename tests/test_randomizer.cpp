@@ -3,9 +3,13 @@
 #include "core/randomizer.hpp"
 #include "netlist/topo.hpp"
 #include "sim/simulator.hpp"
+#include "util/config_hash.hpp"
 #include "workloads/generator.hpp"
 
 #include <gtest/gtest.h>
+
+#include <cstdint>
+#include <string>
 
 namespace {
 
@@ -133,6 +137,56 @@ TEST_F(RandomizerTest, SequentialBenchmarkSupported) {
   auto restored = result.erroneous.clone();
   restore_netlist(restored, result.ledger);
   EXPECT_TRUE(sm::sim::equivalent(original, restored, 2048, 3));
+}
+
+// randomize() on two designs, pinned to literal results. Every swap it
+// accepts first passes the loop check, so a change in which swaps pass
+// moves these pins; DeterministicForSeed, which compares two runs of one
+// build, cannot see that. They move only when the generator or the
+// randomizer's draws do.
+class RandomizerPins : public RandomizerTest {
+ protected:
+  struct Pin {
+    std::size_t swaps;
+    double oer, hd;
+    std::uint64_t ledger_hash;
+  };
+  static std::uint64_t ledger_hash(const SwapLedger& ledger) {
+    std::string text;
+    for (const auto& e : ledger.entries)
+      text += std::to_string(e.net_a) + ":" + std::to_string(e.sink_a.cell) +
+              "." + std::to_string(e.sink_a.pin) + " " +
+              std::to_string(e.net_b) + ":" + std::to_string(e.sink_b.cell) +
+              "." + std::to_string(e.sink_b.pin) + "\n";
+    return sm::util::fnv1a64(text);
+  }
+  static void expect_pinned(const Netlist& original,
+                            const RandomizeOptions& opts,
+                            const Pin& pin) {
+    const auto result = randomize(original, opts);
+    EXPECT_EQ(result.swaps, pin.swaps);
+    EXPECT_EQ(result.oer, pin.oer);
+    EXPECT_EQ(result.hd, pin.hd);
+    EXPECT_EQ(ledger_hash(result.ledger), pin.ledger_hash);
+  }
+};
+
+TEST_F(RandomizerPins, C880) {
+  // At least 150 swaps: the default minimum (gates / 30) stops at 12.
+  RandomizeOptions opts;
+  opts.seed = 3;
+  opts.min_swaps = 150;
+  expect_pinned(bench(), opts,
+                {152, 1.0, 0.47693810096153844, 7386452557324515331ULL});
+}
+
+TEST_F(RandomizerPins, SequentialSuperblue18) {
+  const auto original = sm::workloads::generate(
+      lib, sm::workloads::superblue_profile("superblue18", 0.003), 4);
+  RandomizeOptions opts;
+  opts.seed = 4;
+  expect_pinned(original, opts,
+                {68, 1.0, 0.25694335937500001, 3276615345837558710ULL});
 }
 
 }  // namespace
