@@ -42,35 +42,20 @@ void BM_Simulation64Patterns(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 64);
 }
 
-// BM_CompareOerHd pins lanes=1 (the pre-ISSUE-10 scalar word path) so the
-// rig stays comparable across releases; the *Lanes variants below sweep the
-// wide-word widths. OER/HD are bit-identical for every lane width
-// (tests/test_sim.cpp) — only the wall time moves.
 void BM_CompareOerHd(benchmark::State& state) {
   const auto nl = make_bench("c880");
   for (auto _ : state) {
-    const auto r = sim::compare(nl, nl, 4096, 3, 1);
+    const auto r = sim::compare(nl, nl, 4096, 3);
     benchmark::DoNotOptimize(r);
   }
 }
 
-// Arg = lane width (uint64 words evaluated per gate visit).
-void BM_CompareOerHdLanes(benchmark::State& state) {
-  const auto nl = make_bench("c880");
-  const std::size_t lanes = static_cast<std::size_t>(state.range(0));
-  for (auto _ : state) {
-    const auto r = sim::compare(nl, nl, 4096, 3, lanes);
-    benchmark::DoNotOptimize(r);
-  }
-}
-
-// Sim throughput (patterns/second) of the compare path: Arg = lane width.
-void BM_CompareThroughputLanes(benchmark::State& state) {
+// Sim throughput (patterns/second) of the compare path.
+void BM_CompareThroughput(benchmark::State& state) {
   const auto nl = make_bench("c2670");
-  const std::size_t lanes = static_cast<std::size_t>(state.range(0));
   constexpr std::size_t kPatterns = 65536;
   for (auto _ : state) {
-    const auto r = sim::compare(nl, nl, kPatterns, 3, lanes);
+    const auto r = sim::compare(nl, nl, kPatterns, 3);
     benchmark::DoNotOptimize(r);
   }
   state.SetItemsProcessed(state.iterations() *
@@ -262,8 +247,7 @@ void BM_GridIndexKNearest(benchmark::State& state) {
 
 BENCHMARK(BM_Simulation64Patterns);
 BENCHMARK(BM_CompareOerHd);
-BENCHMARK(BM_CompareOerHdLanes)->Arg(1)->Arg(4)->Arg(8);
-BENCHMARK(BM_CompareThroughputLanes)->Arg(1)->Arg(4)->Arg(8);
+BENCHMARK(BM_CompareThroughput);
 BENCHMARK(BM_Randomize);
 BENCHMARK(BM_Place);
 BENCHMARK(BM_Route);

@@ -11,14 +11,16 @@
 //                        so a trailing comma is harmless)
 //
 // and names its own further flags to parse_suite; any other flag fails.
-// Tables 1, 4 and 5 and bench_ablation_split take
+// Tables 1, 4 and 5 take
 //   --jobs=<n>      worker threads (default 1; 0 = hardware concurrency).
 //                   Results are bit-identical for any value — benches
 //                   compute into index-addressed slots (Table 1) or grid
-//                   rows (the sweep-grid benches) and render afterwards.
+//                   rows (Tables 4 and 5) and render afterwards.
 //
 // Flows come from sweep::task_flow / sweep::task_randomize, the recipe the
-// sweep grid and sm_flow use too.
+// sweep grid, sm_flow and the quickstart example use too. The split-layer
+// ablation has no bench: it is one `sm_flow sweep` call (docs/CLI.md,
+// "Recipes").
 #pragma once
 
 #include "core/baselines.hpp"

@@ -1,15 +1,21 @@
-// Quickstart: the whole pipeline on one small benchmark, in ~60 lines.
+// Quickstart: the whole pipeline on one small benchmark.
 //
 //   1. generate an ISCAS-85-like netlist,
 //   2. protect it (randomize + correction cells + lifting + BEOL restore),
 //   3. attack the FEOL with the network-flow proximity attack,
 //   4. print the security metrics the paper reports (CCR / OER / HD).
 //
+// Layout and protection run the sweep's flow recipe (sweep::task_flow and
+// sweep::task_randomize), so `--seed` moves the generator, the placement
+// and the randomizer together, as it does for a `sm_flow sweep` cell.
+//
 // Run:  ./quickstart [--bench=c880] [--seed=1]
 #include "attack/proximity.hpp"
 #include "core/protect.hpp"
 #include "core/split.hpp"
+#include "sweep/sweep.hpp"
 #include "util/args.hpp"
+#include "util/table.hpp"
 #include "workloads/generator.hpp"
 
 #include <cstdio>
@@ -21,8 +27,11 @@ int main(int argc, char** argv) {
   const std::string bench = args.get("bench", "c880");
   const auto seed = args.get_count("seed", 1);
 
-  // A Nangate-45-like library with correction-cell pins in M6.
-  netlist::CellLibrary lib{6};
+  // The ISCAS recipe: correction-cell pins in M6, 45% utilization (the
+  // clone scale applies to superblue clones only).
+  const auto flow =
+      sweep::task_flow(bench, sweep::Workload::Iscas85, seed, /*scale=*/1.0);
+  netlist::CellLibrary lib{flow.lift_layer};
   const auto nl =
       workloads::generate(lib, workloads::iscas85_profile(bench), seed);
   std::printf("%s-like netlist: %zu gates, %zu nets, %zu PIs, %zu POs\n",
@@ -31,17 +40,23 @@ int main(int argc, char** argv) {
 
   // Protect: randomize until OER ~ 100%, place & route the erroneous
   // netlist, embed correction cells, lift, restore through the BEOL.
-  core::FlowOptions flow;
-  flow.lift_layer = 6;
-  flow.placer.target_utilization = 0.45;
-  core::RandomizeOptions rand_opts;
-  rand_opts.seed = seed;
-  const auto design = core::protect(nl, rand_opts, flow);
+  const auto design = core::protect(nl, sweep::task_randomize(seed), flow);
   std::printf(
       "protected: %zu swaps, erroneous-netlist OER %.1f%% / HD %.1f%%, "
       "restoration %s\n",
       design.ledger.entries.size(), 100 * design.oer, 100 * design.hd,
       design.restored_ok ? "EQUIVALENT to original" : "FAILED");
+
+  // A CCR over no open sink, or an error rate over no simulated pattern,
+  // has nothing to measure and prints n/a.
+  const auto print_attack = [](const char* what, double ccr,
+                               const attack::ProximityResult& r) {
+    const bool simulated = r.rates.patterns != 0;
+    std::printf("%s %s, OER %s, HD %s\n", what,
+                util::Table::pct_or_na(r.open_sinks != 0, 100 * ccr).c_str(),
+                util::Table::pct_or_na(simulated, 100 * r.rates.oer).c_str(),
+                util::Table::pct_or_na(simulated, 100 * r.rates.hd).c_str());
+  };
 
   // Attack the FEOL (split after M4) with every published hint enabled.
   const auto view = core::split_layout(
@@ -49,10 +64,8 @@ int main(int argc, char** argv) {
       design.layout.tasks, design.layout.num_net_tasks, /*split=*/4);
   const auto res = attack::proximity_attack(
       design.erroneous, nl, design.layout.placement, view, &design.ledger);
-  std::printf("attack on protected FEOL: CCR(randomized nets) %.1f%%, "
-              "OER %.1f%%, HD %.1f%%\n",
-              100 * res.ccr_protected(), 100 * res.rates.oer,
-              100 * res.rates.hd);
+  print_attack("attack on protected FEOL: CCR(randomized nets)",
+               res.ccr_protected(), res);
 
   // Reference point: the same attack on the unprotected layout.
   const auto original = core::layout_original(nl, flow);
@@ -61,8 +74,7 @@ int main(int argc, char** argv) {
                          original.tasks, original.num_net_tasks, 4);
   const auto r0 =
       attack::proximity_attack(nl, nl, original.placement, v0, nullptr);
-  std::printf("attack on original layout:  CCR %.1f%%, OER %.1f%%, HD %.1f%%\n",
-              100 * r0.ccr(), 100 * r0.rates.oer, 100 * r0.rates.hd);
+  print_attack("attack on original layout:  CCR", r0.ccr(), r0);
 
   std::printf("PPA: power %.1f -> %.1f uW, delay %.0f -> %.0f ps, "
               "die area unchanged (%.0f um^2)\n",

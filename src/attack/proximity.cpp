@@ -48,6 +48,10 @@ double vpin_spread(const Fragment& f) {
 constexpr double kStrengthPriorWeight = 0.4;
 constexpr double kStrengthPriorScaleUm = 180.0;
 
+/// Cost factor for vpin pairs sharing a routing track, under the direction
+/// hint: a straight BEOL bridge is the most plausible continuation.
+constexpr double kTrackBonus = 0.5;
+
 /// Matching cost between a driver fragment and a sink fragment: closest
 /// vpin-pair Manhattan distance, discounted when the dangling-wire stubs
 /// point at each other (hint (iv) of [5] — the BEOL continuation of a wire
@@ -90,7 +94,7 @@ double pair_cost(const Netlist& feol, const Fragment& drv,
       // is far more plausible than an off-track one (a straight bridge beats
       // an L- or Z-shaped one).
       if (d.grid.x == s.grid.x || d.grid.y == s.grid.y)
-        factor *= opts.track_bonus;
+        factor *= kTrackBonus;
     }
     best = std::min(best, dist * factor);
   };
@@ -142,7 +146,7 @@ class CandidateFinder {
       // ~0.3) the use_index_ guard falls back to brute force.
       const double dir_min =
           1.0 - (1.0 - std::min(1.0, opts.direction_bonus)) * std::sqrt(2.0);
-      cost_floor_ = std::max(0.0, dir_min) * std::min(1.0, opts.track_bonus);
+      cost_floor_ = std::max(0.0, dir_min) * kTrackBonus;
     }
     use_index_ = nd >= static_cast<std::size_t>(
                            std::max(1, opts.index_min_drivers)) &&

@@ -44,9 +44,6 @@ namespace sm::attack {
 struct ProximityOptions {
   int candidates_per_sink = 16;   ///< nearest driver fragments considered
   double direction_bonus = 0.75;  ///< cost factor when dangling wires align
-  /// Cost factor for vpin pairs sharing a routing track (straight BEOL
-  /// bridges are the most plausible continuation).
-  double track_bonus = 0.5;
   /// Drive-strength prior (paper Sec. 3's BUFX8 argument): a strong driver
   /// "should" reach a distant sink, a weak one a nearby sink; candidates
   /// violating the prior cost more. The expected reach is 180 um over the

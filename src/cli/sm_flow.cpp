@@ -154,11 +154,15 @@ std::string out_path(const util::Args& args, const std::string& key) {
   return v == "true" ? "-" : v;
 }
 
-/// CCR as printed: "n/a" when the split left no open sink, where
-/// ProximityResult::ccr() reads 1.0 by convention (sweep::Mean::pct prints
-/// the same for a group with no such cell).
+/// A CCR or an error rate of `res` as printed. CCR is "n/a" when the split
+/// left no open sink, where ProximityResult::ccr() reads 1.0 by convention;
+/// OER and HD are "n/a" when no pattern ran, as for a cyclic recovered
+/// netlist, where the attack reports the sentinel 1.0 and 0.5.
 std::string ccr_pct(const attack::ProximityResult& res, double ccr) {
-  return res.open_sinks ? util::Table::pct(100 * ccr, 1) : "n/a";
+  return util::Table::pct_or_na(res.open_sinks != 0, 100 * ccr);
+}
+std::string rate_pct(const attack::ProximityResult& res, double rate) {
+  return util::Table::pct_or_na(res.rates.patterns != 0, 100 * rate);
 }
 
 attack::ProximityOptions attack_options(const util::Args& args,
@@ -248,10 +252,12 @@ int cmd_attack(const util::Args& args, const FlowSetup& setup) {
                                               original.placement, view,
                                               nullptr, opts);
     std::printf("attack on unprotected %s (split M%d): CCR %s, "
-                "OER %.1f%%, HD %.1f%%  (%zu/%zu sinks correct)\n",
+                "OER %s, HD %s  (%zu/%zu sinks correct)\n",
                 setup.bench.c_str(), setup.split_layer,
-                ccr_pct(res, res.ccr()).c_str(), 100 * res.rates.oer,
-                100 * res.rates.hd, res.correct, res.open_sinks);
+                ccr_pct(res, res.ccr()).c_str(),
+                rate_pct(res, res.rates.oer).c_str(),
+                rate_pct(res, res.rates.hd).c_str(), res.correct,
+                res.open_sinks);
     return 0;
   }
 
@@ -262,11 +268,12 @@ int cmd_attack(const util::Args& args, const FlowSetup& setup) {
                                design.layout.placement, view, &design.ledger,
                                opts);
   std::printf("attack on protected %s (split M%d): CCR %s, "
-              "CCR(randomized nets) %s, OER %.1f%%, HD %.1f%%\n",
+              "CCR(randomized nets) %s, OER %s, HD %s\n",
               setup.bench.c_str(), setup.split_layer,
               ccr_pct(res, res.ccr()).c_str(),
-              ccr_pct(res, res.ccr_protected()).c_str(), 100 * res.rates.oer,
-              100 * res.rates.hd);
+              ccr_pct(res, res.ccr_protected()).c_str(),
+              rate_pct(res, res.rates.oer).c_str(),
+              rate_pct(res, res.rates.hd).c_str());
   return 0;
 }
 
@@ -295,14 +302,12 @@ int cmd_report(const util::Args& args, const FlowSetup& setup) {
   util::Table table({"Layout", "CCR", "OER", "HD", "Power uW", "Delay ps",
                      "Wirelength um"});
   table.add_row({"original", ccr_pct(r0, r0.ccr()),
-                 util::Table::pct(100 * r0.rates.oer, 1),
-                 util::Table::pct(100 * r0.rates.hd, 1),
+                 rate_pct(r0, r0.rates.oer), rate_pct(r0, r0.rates.hd),
                  util::Table::num(original.ppa.total_power_uw(), 1),
                  util::Table::num(original.ppa.critical_path_ps, 0),
                  util::Table::num(original.ppa.wirelength_um, 0)});
   table.add_row({"proposed", ccr_pct(rp, rp.ccr_protected()),
-                 util::Table::pct(100 * rp.rates.oer, 1),
-                 util::Table::pct(100 * rp.rates.hd, 1),
+                 rate_pct(rp, rp.rates.oer), rate_pct(rp, rp.rates.hd),
                  util::Table::num(design.layout.ppa.total_power_uw(), 1),
                  util::Table::num(design.layout.ppa.critical_path_ps, 0),
                  util::Table::num(design.layout.ppa.wirelength_um, 0)});

@@ -47,8 +47,8 @@ struct FlowOptions {
   place::BufferingOptions buffering_opts;
 };
 
-/// gcell sizing rule used when auto_gcell is on: roughly 80 gcells across
-/// the die, clamped to [0.7, 2.8] um.
+/// gcell sizing rule used when auto_gcell is on: the die's longer side
+/// over 48, clamped to [1, 2.8] um.
 double tuned_gcell_um(const FlowOptions& opts, const place::Floorplan& fp);
 
 /// A placed-and-routed design with its PPA.

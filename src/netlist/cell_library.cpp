@@ -33,28 +33,25 @@ CellLibrary::CellLibrary(int correction_pin_layer) {
 
   // Values approximate NanGate FreePDK45 typical numbers (area in um^2,
   // caps in fF, drive resistance in kOhm, delay in ps, leakage in nW).
-  const CellTypeId inv1 = std_cell("INV_X1", LogicFn::Inv, 1, 0.53, 0.38, 1.6, 14.0, 8.0, 12.0);
+  std_cell("INV_X1", LogicFn::Inv, 1, 0.53, 0.38, 1.6, 14.0, 8.0, 12.0);
   std_cell("INV_X2", LogicFn::Inv, 1, 0.80, 0.57, 3.2, 7.0, 8.0, 20.0);
   buf_[0] = std_cell("BUF_X1", LogicFn::Buf, 1, 0.80, 0.57, 1.5, 13.0, 22.0, 15.0);
   buf_[1] = std_cell("BUF_X2", LogicFn::Buf, 1, 1.06, 0.76, 2.2, 7.0, 24.0, 24.0);
   buf_[2] = std_cell("BUF_X4", LogicFn::Buf, 1, 1.60, 1.14, 4.1, 3.6, 26.0, 42.0);
   buf_[3] = std_cell("BUF_X8", LogicFn::Buf, 1, 2.66, 1.90, 8.0, 1.8, 28.0, 80.0);
-  const CellTypeId nand2 = std_cell("NAND2_X1", LogicFn::Nand, 2, 0.80, 0.57, 1.6, 13.0, 12.0, 16.0);
-  const CellTypeId nand3 = std_cell("NAND3_X1", LogicFn::Nand, 3, 1.06, 0.76, 1.7, 14.5, 16.0, 20.0);
-  const CellTypeId nand4 = std_cell("NAND4_X1", LogicFn::Nand, 4, 1.33, 0.95, 1.8, 16.0, 20.0, 24.0);
-  const CellTypeId nor2 = std_cell("NOR2_X1", LogicFn::Nor, 2, 0.80, 0.57, 1.7, 15.0, 14.0, 16.0);
-  const CellTypeId nor3 = std_cell("NOR3_X1", LogicFn::Nor, 3, 1.06, 0.76, 1.8, 17.0, 19.0, 20.0);
-  const CellTypeId and2 = std_cell("AND2_X1", LogicFn::And, 2, 1.06, 0.76, 1.5, 12.0, 24.0, 20.0);
-  const CellTypeId or2 = std_cell("OR2_X1", LogicFn::Or, 2, 1.06, 0.76, 1.5, 12.0, 25.0, 20.0);
-  const CellTypeId xor2 = std_cell("XOR2_X1", LogicFn::Xor, 2, 1.60, 1.14, 2.8, 14.0, 32.0, 30.0);
-  const CellTypeId xnor2 = std_cell("XNOR2_X1", LogicFn::Xnor, 2, 1.60, 1.14, 2.8, 14.0, 32.0, 30.0);
-  const CellTypeId aoi21 = std_cell("AOI21_X1", LogicFn::Aoi21, 3, 1.06, 0.76, 1.7, 15.0, 18.0, 22.0);
-  const CellTypeId oai21 = std_cell("OAI21_X1", LogicFn::Oai21, 3, 1.06, 0.76, 1.7, 15.0, 18.0, 22.0);
-  const CellTypeId mux2 = std_cell("MUX2_X1", LogicFn::Mux2, 3, 1.86, 1.33, 1.9, 14.0, 36.0, 34.0);
+  std_cell("NAND2_X1", LogicFn::Nand, 2, 0.80, 0.57, 1.6, 13.0, 12.0, 16.0);
+  std_cell("NAND3_X1", LogicFn::Nand, 3, 1.06, 0.76, 1.7, 14.5, 16.0, 20.0);
+  std_cell("NAND4_X1", LogicFn::Nand, 4, 1.33, 0.95, 1.8, 16.0, 20.0, 24.0);
+  std_cell("NOR2_X1", LogicFn::Nor, 2, 0.80, 0.57, 1.7, 15.0, 14.0, 16.0);
+  std_cell("NOR3_X1", LogicFn::Nor, 3, 1.06, 0.76, 1.8, 17.0, 19.0, 20.0);
+  std_cell("AND2_X1", LogicFn::And, 2, 1.06, 0.76, 1.5, 12.0, 24.0, 20.0);
+  std_cell("OR2_X1", LogicFn::Or, 2, 1.06, 0.76, 1.5, 12.0, 25.0, 20.0);
+  std_cell("XOR2_X1", LogicFn::Xor, 2, 1.60, 1.14, 2.8, 14.0, 32.0, 30.0);
+  std_cell("XNOR2_X1", LogicFn::Xnor, 2, 1.60, 1.14, 2.8, 14.0, 32.0, 30.0);
+  std_cell("AOI21_X1", LogicFn::Aoi21, 3, 1.06, 0.76, 1.7, 15.0, 18.0, 22.0);
+  std_cell("OAI21_X1", LogicFn::Oai21, 3, 1.06, 0.76, 1.7, 15.0, 18.0, 22.0);
+  std_cell("MUX2_X1", LogicFn::Mux2, 3, 1.86, 1.33, 1.9, 14.0, 36.0, 34.0);
   dff_ = std_cell("DFF_X1", LogicFn::Dff, 1, 4.52, 3.23, 1.6, 10.0, 60.0, 110.0);
-
-  comb_gates_ = {inv1,  nand2, nand3, nand4, nor2, nor3, and2,
-                 or2,   xor2,  xnor2, aoi21, oai21, mux2};
 
   {
     CellType t;

@@ -94,17 +94,11 @@ class CellLibrary {
   /// Buffer of a given drive strength (1, 2, 4, 8).
   CellTypeId buffer(int strength) const;
 
-  /// All synthesizable combinational gate ids (for the netlist generators).
-  const std::vector<CellTypeId>& combinational_gates() const {
-    return comb_gates_;
-  }
-
  private:
   CellTypeId add(CellType t);
 
   std::vector<CellType> types_;
   MetalStack stack_;
-  std::vector<CellTypeId> comb_gates_;
   CellTypeId input_port_ = kInvalidCellType;
   CellTypeId output_port_ = kInvalidCellType;
   CellTypeId correction_ = kInvalidCellType;

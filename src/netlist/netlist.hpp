@@ -51,7 +51,6 @@ class Netlist {
 
   const CellLibrary& library() const { return *lib_; }
   const std::string& name() const { return name_; }
-  void set_name(std::string n) { name_ = std::move(n); }
 
   // ---- construction -------------------------------------------------------
   /// Create a primary input: a port cell driving a fresh net. Returns the net.

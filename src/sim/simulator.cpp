@@ -62,7 +62,7 @@ void Simulator::eval_lanes(const std::vector<std::uint64_t>& source_words,
       values[sources_[i] * W + j] = source_words[i * W + j];
 
   // Each gate reads/writes W contiguous words; the fixed-trip j-loops below
-  // compile to straight-line vector code for W = 4/8.
+  // compile to straight-line vector code for W = kSimLanes.
   const auto in = [&](const Cell& c, std::size_t k) {
     return &values[static_cast<std::size_t>(c.inputs[k]) * W];
   };
@@ -162,34 +162,30 @@ void Simulator::eval_lanes(const std::vector<std::uint64_t>& source_words,
 template void Simulator::eval_lanes<1>(const std::vector<std::uint64_t>&,
                                        std::vector<std::uint64_t>&,
                                        std::vector<std::uint64_t>&) const;
-template void Simulator::eval_lanes<4>(const std::vector<std::uint64_t>&,
-                                       std::vector<std::uint64_t>&,
-                                       std::vector<std::uint64_t>&) const;
-template void Simulator::eval_lanes<8>(const std::vector<std::uint64_t>&,
-                                       std::vector<std::uint64_t>&,
-                                       std::vector<std::uint64_t>&) const;
+template void Simulator::eval_lanes<kSimLanes>(
+    const std::vector<std::uint64_t>&, std::vector<std::uint64_t>&,
+    std::vector<std::uint64_t>&) const;
 
 namespace {
 
 std::size_t words_for(std::size_t patterns) { return (patterns + 63) / 64; }
 
 constexpr std::size_t kWordsPerBlock = kPatternsPerBlock / 64;
+constexpr std::size_t W = kSimLanes;
 static_assert(kPatternsPerBlock % 64 == 0);
-// Every supported lane width tiles a block exactly, so lane groups never
-// straddle a block (= RNG stream) boundary.
-static_assert(kWordsPerBlock % kDefaultSimLanes == 0);
+// The lane width tiles a block exactly, so lane groups never straddle a
+// block (= RNG stream) boundary.
+static_assert(kWordsPerBlock % W == 0);
 
 std::size_t blocks_for(std::size_t patterns) {
   return (words_for(patterns) + kWordsPerBlock - 1) / kWordsPerBlock;
 }
 
 /// Drive `fn(batch_total, masks)` for every W-word lane group of block `b`,
-/// with the block's own task_seed RNG stream. The stream is drawn word-major
-/// then source-major — exactly the order the scalar path consumed it — so
-/// the (block, word) -> stimulus mapping is byte-identical for every lane
-/// width. Tail lanes past the last pattern word are zero-filled without
-/// consuming RNG draws and masked out.
-template <std::size_t W, class Fn>
+/// with the block's own task_seed RNG stream, drawn word-major then
+/// source-major. Tail lanes past the last pattern word are zero-filled
+/// without consuming RNG draws and masked out.
+template <class Fn>
 void run_block_lanes(std::size_t b, std::size_t patterns, std::uint64_t seed,
                      std::vector<std::uint64_t>& src, std::size_t num_sources,
                      Fn&& fn) {
@@ -217,9 +213,10 @@ void run_block_lanes(std::size_t b, std::size_t patterns, std::uint64_t seed,
   }
 }
 
-template <std::size_t W>
-ErrorRates compare_lanes(const Netlist& golden, const Netlist& dut,
-                         std::size_t patterns, std::uint64_t seed) {
+}  // namespace
+
+ErrorRates compare(const Netlist& golden, const Netlist& dut,
+                   std::size_t patterns, std::uint64_t seed) {
   Simulator sg(golden);
   Simulator sd(dut);
   if (sg.num_sources() != sd.num_sources() ||
@@ -230,7 +227,7 @@ ErrorRates compare_lanes(const Netlist& golden, const Netlist& dut,
   std::vector<std::uint64_t> src(sg.num_sources() * W);
   std::vector<std::uint64_t> out_g, out_d, val_g, val_d;
   for (std::size_t b = 0; b < blocks_for(patterns); ++b)
-    run_block_lanes<W>(
+    run_block_lanes(
         b, patterns, seed, src, sg.num_sources(),
         [&](std::size_t batch_total, const std::array<std::uint64_t, W>& m) {
           sg.eval_lanes<W>(src, out_g, val_g);
@@ -260,17 +257,21 @@ ErrorRates compare_lanes(const Netlist& golden, const Netlist& dut,
   return r;
 }
 
-template <std::size_t W>
-std::vector<double> toggle_rates_lanes(const Netlist& nl,
-                                       std::size_t patterns,
-                                       std::uint64_t seed) {
+bool equivalent(const Netlist& a, const Netlist& b, std::size_t patterns,
+                std::uint64_t seed) {
+  const ErrorRates r = compare(a, b, patterns, seed);
+  return r.oer == 0.0;
+}
+
+std::vector<double> toggle_rates(const Netlist& nl, std::size_t patterns,
+                                 std::uint64_t seed) {
   Simulator s(nl);
   std::vector<std::size_t> ones(nl.num_nets(), 0);
   std::size_t total = 0;
   std::vector<std::uint64_t> src(s.num_sources() * W);
   std::vector<std::uint64_t> out, vals;
   for (std::size_t b = 0; b < blocks_for(patterns); ++b)
-    run_block_lanes<W>(
+    run_block_lanes(
         b, patterns, seed, src, s.num_sources(),
         [&](std::size_t batch_total, const std::array<std::uint64_t, W>& m) {
           s.eval_lanes<W>(src, out, vals);
@@ -289,40 +290,6 @@ std::vector<double> toggle_rates_lanes(const Netlist& nl,
     act[n] = 2.0 * p * (1.0 - p);  // random-stimulus switching probability
   }
   return act;
-}
-
-std::size_t resolve_lanes(std::size_t lanes) {
-  const std::size_t w = lanes == 0 ? kDefaultSimLanes : lanes;
-  if (w != 1 && w != 4 && w != 8)
-    throw std::invalid_argument("sim lanes must be 1, 4, or 8");
-  return w;
-}
-
-}  // namespace
-
-ErrorRates compare(const Netlist& golden, const Netlist& dut,
-                   std::size_t patterns, std::uint64_t seed,
-                   std::size_t lanes) {
-  switch (resolve_lanes(lanes)) {
-    case 1: return compare_lanes<1>(golden, dut, patterns, seed);
-    case 4: return compare_lanes<4>(golden, dut, patterns, seed);
-    default: return compare_lanes<8>(golden, dut, patterns, seed);
-  }
-}
-
-bool equivalent(const Netlist& a, const Netlist& b, std::size_t patterns,
-                std::uint64_t seed) {
-  const ErrorRates r = compare(a, b, patterns, seed);
-  return r.oer == 0.0;
-}
-
-std::vector<double> toggle_rates(const Netlist& nl, std::size_t patterns,
-                                 std::uint64_t seed, std::size_t lanes) {
-  switch (resolve_lanes(lanes)) {
-    case 1: return toggle_rates_lanes<1>(nl, patterns, seed);
-    case 4: return toggle_rates_lanes<4>(nl, patterns, seed);
-    default: return toggle_rates_lanes<8>(nl, patterns, seed);
-  }
 }
 
 }  // namespace sm::sim

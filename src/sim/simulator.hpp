@@ -16,8 +16,8 @@
 // fixed-size blocks (kPatternsPerBlock patterns each). Every block draws its
 // stimuli from an independent RNG stream seeded with util::task_seed(seed,
 // block_index). The block partition is a function of the pattern count
-// alone — never of the lane width — so it fixes every stimulus, and the
-// popcounts reduce to integer sums.
+// alone, so it fixes every stimulus, and the popcounts reduce to integer
+// sums.
 #pragma once
 
 #include "netlist/netlist.hpp"
@@ -51,8 +51,8 @@ class Simulator {
   /// out structure-of-arrays — source i's words at source_words[i*W..i*W+W),
   /// net n's words at values[n*W..n*W+W) — so every gate touches W
   /// contiguous words and the levelized walk auto-vectorizes. Instantiated
-  /// for W = 1, 4, 8 (kWordsPerBlock is divisible by all three, keeping the
-  /// block partition intact). eval() is exactly eval_lanes<1>.
+  /// for W = 1, which is eval(), and W = kSimLanes, which compare() and
+  /// toggle_rates() run.
   template <std::size_t W>
   void eval_lanes(const std::vector<std::uint64_t>& source_words,
                   std::vector<std::uint64_t>& observer_words,
@@ -78,21 +78,18 @@ struct ErrorRates {
 /// (and therefore every metric) depends on the pattern count alone.
 inline constexpr std::size_t kPatternsPerBlock = 4096;
 
-/// Lane width compare()/toggle_rates() use when asked for `lanes == 0`.
-/// Every supported width (1, 4, 8) yields byte-identical metrics — each
-/// block still draws the same util::task_seed RNG stream in the same
-/// word-major order; lanes only change how many words evaluate per
-/// levelized walk.
-inline constexpr std::size_t kDefaultSimLanes = 8;
+/// Pattern words compare()/toggle_rates() evaluate per levelized walk.
+/// Each block draws its util::task_seed RNG stream word-major, then
+/// source-major, so the (block, word) -> stimulus mapping is the one a
+/// scalar word-by-word walk would draw.
+inline constexpr std::size_t kSimLanes = 8;
 
 /// Compare two netlists with `patterns` random stimuli (rounded up to a
 /// multiple of 64). Requires matching source/observer counts (the
 /// randomization defense preserves them). Throws std::invalid_argument
-/// otherwise. `lanes` picks the SIMD lane width (1, 4, or 8;
-/// 0 = kDefaultSimLanes). Results are bit-identical for any lanes value.
+/// otherwise.
 ErrorRates compare(const netlist::Netlist& golden, const netlist::Netlist& dut,
-                   std::size_t patterns, std::uint64_t seed,
-                   std::size_t lanes = 0);
+                   std::size_t patterns, std::uint64_t seed);
 
 /// True when `patterns` random stimuli produce identical observer responses.
 /// (Simulation-based equivalence; exhaustive when the netlist has <= 20
@@ -101,11 +98,9 @@ bool equivalent(const netlist::Netlist& a, const netlist::Netlist& b,
                 std::size_t patterns, std::uint64_t seed);
 
 /// Per-net switching activity estimate: 2*p*(1-p) where p is the signal
-/// probability measured over `patterns` random stimuli. Used for dynamic
-/// power in sm::timing. `lanes` as in compare(); the per-net one-counts
-/// are integer sums, so every lane width yields identical rates.
+/// probability measured over `patterns` random stimuli, drawn as in
+/// compare(). Used for dynamic power in sm::timing.
 std::vector<double> toggle_rates(const netlist::Netlist& nl,
-                                 std::size_t patterns, std::uint64_t seed,
-                                 std::size_t lanes = 0);
+                                 std::size_t patterns, std::uint64_t seed);
 
 }  // namespace sm::sim

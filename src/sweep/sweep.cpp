@@ -479,24 +479,22 @@ util::Table Result::table() const {
   util::Table t({"Benchmark", "Seed", "Split", "Defense", "Attacker", "CCR",
                  "CCR(rand)", "OER", "HD", "Open sinks", "E[LS]", "Equiv",
                  "Task ms"});
-  // A cell with no open sink has no CCR to report (Mean::pct's n/a).
-  const auto ccr_pct = [](const Row& r, double ccr) {
-    return r.open_sinks ? util::Table::pct(100 * ccr, 1) : "n/a";
-  };
-  for (const auto& r : rows)
+  for (const auto& r : rows) {
+    const bool cut = r.open_sinks != 0;  // else the cell has no CCR
     t.add_row({r.benchmark, std::to_string(r.seed),
                "M" + std::to_string(r.split_layer), to_string(r.defense),
-               to_string(r.attacker), ccr_pct(r, r.ccr),
-               ccr_pct(r, r.ccr_protected),
+               to_string(r.attacker), util::Table::pct_or_na(cut, 100 * r.ccr),
+               util::Table::pct_or_na(cut, 100 * r.ccr_protected),
                util::Table::pct(100 * r.oer, 1),
                util::Table::pct(100 * r.hd, 1),
                util::Table::count(r.open_sinks), util::Table::num(r.els, 1),
                equiv_text(r.equiv), util::Table::num(r.wall_ms, 0)});
+  }
   return t;
 }
 
 std::string Mean::pct(double metric) const {
-  return cells ? util::Table::pct(100 * metric, 1) : "n/a";
+  return util::Table::pct_or_na(cells != 0, 100 * metric);
 }
 
 std::map<MeanKey, Mean> Result::means() const {

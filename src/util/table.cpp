@@ -57,6 +57,10 @@ std::string Table::pct(double v, int precision) {
   return os.str();
 }
 
+std::string Table::pct_or_na(bool defined, double v, int precision) {
+  return defined ? pct(v, precision) : "n/a";
+}
+
 std::string Table::count(unsigned long long v) {
   // Thousands separators make the via tables readable (paper prints them too).
   std::string raw = std::to_string(v);

@@ -22,6 +22,10 @@ class Table {
   /// Format helpers for numeric cells.
   static std::string num(double v, int precision = 2);
   static std::string pct(double v, int precision = 1);
+  /// pct(v, precision) when the metric is defined, "n/a" when it has no
+  /// base: a CCR over no open sink, an OER or HD over no simulated
+  /// pattern, a mean over no cell.
+  static std::string pct_or_na(bool defined, double v, int precision = 1);
   static std::string count(unsigned long long v);
 
  private:

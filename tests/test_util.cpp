@@ -177,6 +177,8 @@ TEST(Table, RendersAllCells) {
 TEST(Table, NumberFormatting) {
   EXPECT_EQ(Table::num(3.14159, 2), "3.14");
   EXPECT_EQ(Table::pct(12.345, 1), "12.3%");
+  EXPECT_EQ(Table::pct_or_na(true, 12.345), "12.3%");
+  EXPECT_EQ(Table::pct_or_na(false, 12.345), "n/a");
   EXPECT_EQ(Table::count(1234567), "1,234,567");
   EXPECT_EQ(Table::count(999), "999");
 }
