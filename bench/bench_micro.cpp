@@ -201,6 +201,27 @@ void BM_AttackCandidatesIndexed(benchmark::State& state) {
   attack_candidates(state, 0);
 }
 
+// The FEOL cut of the attack rig's c7552 layout at each split layer the
+// sweep attacks. The fragment and vpin counts are deterministic, like the
+// router's A* counters.
+void BM_SplitLayout(benchmark::State& state) {
+  const auto& rig = AttackRig::instance();
+  std::size_t fragments = 0, vpins = 0;
+  for (auto _ : state) {
+    fragments = vpins = 0;
+    for (const int split : {3, 4, 5}) {
+      const auto view = core::split_layout(
+          rig.nl, rig.layout.placement, rig.layout.routing, rig.layout.tasks,
+          rig.layout.num_net_tasks, split);
+      fragments += view.fragments.size();
+      vpins += view.num_vpins();
+    }
+    benchmark::DoNotOptimize(fragments);
+  }
+  state.counters["fragments"] = static_cast<double>(fragments);
+  state.counters["vpins"] = static_cast<double>(vpins);
+}
+
 // ---- Matching solver rig ----
 // A random attack-shaped network: 256 sinks with 8 candidate drivers each
 // among 300 (integer costs in the attack's form: a base in the high bits,
@@ -255,6 +276,7 @@ BENCHMARK(BM_RouteNets)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_ProximityAttack);
 BENCHMARK(BM_AttackCandidatesBrute)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_AttackCandidatesIndexed)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SplitLayout)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_McmfSolveCold)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_GridIndexKNearest)->Arg(1000)->Arg(100000);
 

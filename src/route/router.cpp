@@ -158,6 +158,67 @@ struct SearchWork {
   std::uint64_t heap_pushes = 0;
 };
 
+/// The A* open list: a 4-ary min-heap of (f, node) entries over a member
+/// buffer, so a search allocates nothing once the buffer has grown. It pops
+/// in strict (f, node) order: an equal-f tie goes to the lower node index.
+/// Any queue with that order pops the same sequence, so routes and the A*
+/// counters do not depend on the heap's shape. Four children per slot make
+/// the heap half as deep as a binary one.
+class OpenList {
+ public:
+  bool empty() const { return heap_.empty(); }
+  void clear() { heap_.clear(); }
+
+  void push(double f, std::uint32_t node) {
+    const Entry e{f, node};
+    std::size_t i = heap_.size();
+    heap_.push_back(e);
+    while (i > 0) {
+      const std::size_t up = (i - 1) / 4;
+      if (!before(e, heap_[up])) break;
+      heap_[i] = heap_[up];
+      i = up;
+    }
+    heap_[i] = e;
+  }
+
+  /// Remove the least entry and return its node. The list must not be
+  /// empty.
+  std::uint32_t pop() {
+    const std::uint32_t top = heap_.front().node;
+    const Entry last = heap_.back();
+    heap_.pop_back();
+    const std::size_t n = heap_.size();
+    if (n == 0) return top;
+    std::size_t i = 0;
+    for (;;) {
+      const std::size_t first = 4 * i + 1;
+      if (first >= n) break;
+      const std::size_t end = std::min(first + 4, n);
+      std::size_t least = first;
+      for (std::size_t c = first + 1; c < end; ++c)
+        if (before(heap_[c], heap_[least])) least = c;
+      if (!before(heap_[least], last)) break;
+      heap_[i] = heap_[least];
+      i = least;
+    }
+    heap_[i] = last;
+    return top;
+  }
+
+ private:
+  struct Entry {
+    double f;
+    std::uint32_t node;
+  };
+
+  static bool before(const Entry& a, const Entry& b) {
+    return a.f < b.f || (a.f == b.f && a.node < b.node);
+  }
+
+  std::vector<Entry> heap_;
+};
+
 /// A* search state with epoch-stamped arrays, so repeated searches cost
 /// O(visited), not O(grid): every search bumps its epoch first, so no state
 /// of a previous search is ever read. Reads the CongestionState and never
@@ -249,21 +310,16 @@ class Searcher {
       target_mark_[t] = epoch_;
     }
 
-    // Manual binary heap over a member buffer: a search allocates nothing
-    // once the buffer has grown (std::priority_queue would be a fresh
-    // vector per call — measurable at this call volume).
-    heap_.clear();
+    open_.clear();
     gscore_[start] = 0.0;
     epoch_mark_[start] = epoch_;
     parent_[start] = static_cast<std::uint32_t>(start);
-    heap_.emplace_back(heuristic(grid_->at(start)), start);
+    open_.push(heuristic(grid_->at(start)), static_cast<std::uint32_t>(start));
     std::uint64_t pops = 0, pushes = 1;
 
     std::size_t found = npos;
-    while (!heap_.empty()) {
-      std::pop_heap(heap_.begin(), heap_.end(), std::greater<>());
-      const auto [f, node] = heap_.back();
-      heap_.pop_back();
+    while (!open_.empty()) {
+      const std::size_t node = open_.pop();
       ++pops;
       if (closed_mark_[node] == epoch_) continue;
       closed_mark_[node] = epoch_;
@@ -285,8 +341,7 @@ class Searcher {
         epoch_mark_[ni] = epoch_;
         gscore_[ni] = ng_cost;
         parent_[ni] = static_cast<std::uint32_t>(node);
-        heap_.emplace_back(ng_cost + heuristic(ng), ni);
-        std::push_heap(heap_.begin(), heap_.end(), std::greater<>());
+        open_.push(ng_cost + heuristic(ng), static_cast<std::uint32_t>(ni));
         ++pushes;
       };
       const auto dir = preferred_[static_cast<std::size_t>(g.layer)];
@@ -369,7 +424,7 @@ class Searcher {
   std::vector<std::uint32_t> target_mark_;
   std::vector<std::uint32_t> tree_mark_;
   std::vector<std::size_t> target_set_;
-  std::vector<std::pair<double, std::size_t>> heap_;  ///< (f, node) min-heap
+  OpenList open_;
   std::vector<netlist::Direction> preferred_;  ///< per-layer wire direction
   std::uint32_t epoch_ = 0;
   std::uint32_t tree_epoch_ = 0;

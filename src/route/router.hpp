@@ -28,7 +28,10 @@
 // the vias the remaining offset needs, and keeps its path costs in double
 // precision, so it returns the unique jittered cheapest path whatever the
 // bound (docs/ARCHITECTURE.md, `route`; tests/test_route.cpp checks the
-// optimality against a reference Dijkstra).
+// optimality against a reference Dijkstra). Its open list is a 4-ary heap
+// that pops in strict (f, node) order; any queue with that order pops the
+// same sequence, so neither the routes nor the A* counters depend on the
+// heap's shape (tests/test_route.cpp pins both, with and without jitter).
 #pragma once
 
 #include "netlist/netlist.hpp"

@@ -481,13 +481,18 @@ util::Table Result::table() const {
                  "Task ms"});
   for (const auto& r : rows) {
     const bool cut = r.open_sinks != 0;  // else the cell has no CCR
+    // Crouting recovers no netlist, so it has no OER or HD; it is the only
+    // attacker with candidate lists, so the only one with an E[LS], and
+    // only when there is a vpin to list candidates for.
+    const bool crouting = r.attacker == Attacker::CRouting;
     t.add_row({r.benchmark, std::to_string(r.seed),
                "M" + std::to_string(r.split_layer), to_string(r.defense),
                to_string(r.attacker), util::Table::pct_or_na(cut, 100 * r.ccr),
                util::Table::pct_or_na(cut, 100 * r.ccr_protected),
-               util::Table::pct(100 * r.oer, 1),
-               util::Table::pct(100 * r.hd, 1),
-               util::Table::count(r.open_sinks), util::Table::num(r.els, 1),
+               util::Table::pct_or_na(!crouting, 100 * r.oer),
+               util::Table::pct_or_na(!crouting, 100 * r.hd),
+               util::Table::count(r.open_sinks),
+               crouting && cut ? util::Table::num(r.els, 1) : "n/a",
                equiv_text(r.equiv), util::Table::num(r.wall_ms, 0)});
   }
   return t;
@@ -523,11 +528,17 @@ std::map<MeanKey, Mean> Result::means() const {
 util::Table Result::summary() const {
   util::Table t({"Benchmark", "Defense", "Attacker", "CCR", "CCR(rand)",
                  "OER", "HD", "Cells"});
-  for (const auto& [key, m] : means())
+  for (const auto& [key, m] : means()) {
+    // A crouting group averages no OER or HD (see table()).
+    const bool simulated =
+        m.cells != 0 && std::get<2>(key) != Attacker::CRouting;
     t.add_row({std::get<0>(key), to_string(std::get<1>(key)),
                to_string(std::get<2>(key)), m.pct(m.ccr),
-               m.pct(m.ccr_protected), m.pct(m.oer), m.pct(m.hd),
+               m.pct(m.ccr_protected),
+               util::Table::pct_or_na(simulated, 100 * m.oer),
+               util::Table::pct_or_na(simulated, 100 * m.hd),
                util::Table::count(m.cells)});
+  }
   return t;
 }
 

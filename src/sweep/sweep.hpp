@@ -206,7 +206,9 @@ struct Row {
 
   double ccr = 0.0;            ///< correct-connection rate, all open sinks
   double ccr_protected = 0.0;  ///< CCR restricted to randomized connections
-  double oer = 0.0;            ///< recovered vs original netlist
+  /// Recovered vs original netlist; 0 for crouting, which recovers none
+  /// (tables print n/a there).
+  double oer = 0.0;
   double hd = 0.0;
   std::size_t open_sinks = 0;
   std::size_t swaps = 0;    ///< defense swaps (0 for Unprotected)
@@ -267,12 +269,15 @@ struct Result {
   /// --resume or without a supervisor in the picture.
   std::size_t quarantined_cells = 0;
 
-  /// Per-row table (one line per grid cell).
+  /// Per-row table (one line per grid cell). A metric a cell does not have
+  /// prints n/a: CCR and E[LS] over no open sink, OER and HD of a crouting
+  /// row, E[LS] of any other attacker's row.
   util::Table table() const;
   /// One Mean per (benchmark, defense, attacker) present in rows, ordered
   /// by benchmark name, then defense and attacker in enum order — what the
   /// paper's Tables 4/5 report, and what summary() renders.
   std::map<MeanKey, Mean> means() const;
+  /// means() as a table; a crouting group's OER and HD print n/a.
   util::Table summary() const;
   std::string to_csv() const;
   std::string to_json() const;

@@ -4,11 +4,14 @@
 #include "core/correction.hpp"
 #include "core/protect.hpp"
 #include "core/split.hpp"
+#include "util/config_hash.hpp"
 #include "workloads/generator.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <set>
+#include <string>
 
 namespace {
 
@@ -134,6 +137,39 @@ TEST_F(CoreFlowTest, SplitViewFindsFragmentsAndVpins) {
     EXPECT_LT(f.net, original.num_nets());
     EXPECT_TRUE(f.has_driver || !f.sinks.empty() || !f.vpins.empty());
   }
+}
+
+// The split views of one protected layout at M3, M4 and M5, pinned to
+// literal hashes. They cover every fragment in order (net, driver flag,
+// sinks, anchor) and every vpin (grid point, dangling direction), so they
+// move when a fragment, its content or its place in the view moves.
+TEST_F(CoreFlowTest, SplitViewPinned) {
+  const Netlist original = bench();
+  const auto design = protect(original, rand_opts(), flow());
+  auto view_hash = [&](int split) {
+    const auto view =
+        split_layout(design.erroneous, design.layout.placement,
+                     design.layout.routing, design.layout.tasks,
+                     design.layout.num_net_tasks, split);
+    std::string text;
+    char buf[64];
+    for (const auto& f : view.fragments) {
+      text += std::to_string(f.net) + (f.has_driver ? " drv" : " -");
+      for (const auto& s : f.sinks)
+        text += " " + std::to_string(s.cell) + "." + std::to_string(s.pin);
+      std::snprintf(buf, sizeof buf, " @%.17g,%.17g", f.anchor.x, f.anchor.y);
+      text += buf;
+      for (const auto& v : f.vpins)
+        text += " v" + std::to_string(v.grid.x) + "," +
+                std::to_string(v.grid.y) + "," + std::to_string(v.grid.layer) +
+                ">" + std::to_string(v.dir_dx) + "," + std::to_string(v.dir_dy);
+      text += "\n";
+    }
+    return sm::util::fnv1a64(text);
+  };
+  EXPECT_EQ(view_hash(3), 17649031235449496769ULL);
+  EXPECT_EQ(view_hash(4), 14396249281441255771ULL);
+  EXPECT_EQ(view_hash(5), 14333050239109725969ULL);
 }
 
 TEST_F(CoreFlowTest, SplitAtHigherLayerCutsFewerNets) {

@@ -1,21 +1,25 @@
 // Router tests: grid math, connectivity of produced routes, min-layer
-// (lifting) constraints, via/wirelength accounting, determinism, congestion
-// negotiation, A* optimality against a reference Dijkstra, and the
-// full-grid retry of nets that fail inside their clipped window.
+// (lifting) constraints, via/wirelength accounting, determinism, literal
+// pins of one layout's routes and A* work, congestion negotiation, A*
+// optimality against a reference Dijkstra, and the full-grid retry of nets
+// that fail inside their clipped window.
 #include "place/placer.hpp"
 #include "route/router.hpp"
+#include "util/config_hash.hpp"
 #include "workloads/generator.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <functional>
 #include <limits>
 #include <map>
 #include <queue>
 #include <set>
+#include <string>
 #include <vector>
 
 namespace {
@@ -240,6 +244,66 @@ TEST_F(RouterTest, DeterministicRouting) {
   EXPECT_GE(a.stats.heap_pops, a.stats.searches);
   EXPECT_GE(a.stats.heap_pushes, a.stats.heap_pops);
   expect_identical_routing(a, b);
+}
+
+// DeterministicRouting's fine-grid c880 layout, pinned to literal results.
+// DeterministicRouting compares two runs of one build; these pins move when
+// any route or any A* counter moves. At tie_jitter 0 exact cost ties are
+// left to the open list's (f, node) pop order, so only that pin checks the
+// node tie-break: an open list ordered by f alone passes the jittered pin.
+class RouterPins : public RouterTest {
+ protected:
+  struct Pin {
+    std::uint64_t searches, heap_pops, heap_pushes, vias;
+    std::size_t overflowed_gcells;
+    std::uint64_t routes_hash;
+  };
+  /// FNV-1a over every route's success flag and segment endpoints.
+  static std::uint64_t routes_hash(const RoutingResult& res) {
+    std::string text;
+    auto put = [&](const GridPoint& g) {
+      text += std::to_string(g.x) + "," + std::to_string(g.y) + "," +
+              std::to_string(g.layer) + ";";
+    };
+    for (const auto& r : res.routes) {
+      text += r.success ? "ok:" : "failed:";
+      for (const auto& seg : r.segments) {
+        put(seg.a);
+        put(seg.b);
+      }
+      text += "\n";
+    }
+    return sm::util::fnv1a64(text);
+  }
+  static void expect_pinned(double tie_jitter, const Pin& pin) {
+    CellLibrary lib;
+    const auto nl = sm::workloads::generate(
+        lib, sm::workloads::iscas85_profile("c880"), 5);
+    sm::place::Placer placer;
+    const auto pl = placer.place(nl);
+    RouterOptions opts;
+    opts.gcell_um = 1.4;
+    opts.passes = 4;
+    opts.tie_jitter = tie_jitter;
+    const auto res =
+        Router(opts).route(make_tasks(nl, pl), pl.floorplan.die, lib.metal());
+    EXPECT_EQ(res.stats.searches, pin.searches);
+    EXPECT_EQ(res.stats.heap_pops, pin.heap_pops);
+    EXPECT_EQ(res.stats.heap_pushes, pin.heap_pushes);
+    EXPECT_EQ(res.stats.total_vias(), pin.vias);
+    EXPECT_EQ(res.stats.overflowed_gcells, pin.overflowed_gcells);
+    EXPECT_EQ(routes_hash(res), pin.routes_hash);
+  }
+};
+
+TEST_F(RouterPins, DefaultJitter) {
+  expect_pinned(0.05,
+                {1403, 158667, 260255, 1764, 95, 1577646502418740127ULL});
+}
+
+TEST_F(RouterPins, ZeroJitter) {
+  expect_pinned(0.0,
+                {1379, 148738, 243725, 1730, 101, 4850038728928209538ULL});
 }
 
 TEST_F(RouterTest, CongestionSpreadsTraffic) {

@@ -356,4 +356,82 @@ TEST(AttackerAxis, ExportsCarryAttackerElsEquiv) {
   EXPECT_NE(json.find("\"equiv\""), std::string::npos);
 }
 
+// The rendered tables print n/a for a metric a cell does not have: OER and
+// HD for crouting, which recovers no netlist, E[LS] for every attacker but
+// crouting, and CCR and E[LS] over no open sink (c432's unprotected layout
+// leaves none at M4). The rows keep their values (0), as CSV, JSON and the
+// store read them.
+TEST(AttackerAxis, TablesPrintNaForMetricsACellLacks) {
+  sweep::Grid grid;
+  grid.benchmarks = {"c432"};
+  grid.seeds = {1};
+  grid.split_layers = {3, 4};
+  grid.defenses = {sweep::Defense::Unprotected};
+  grid.attackers = {sweep::Attacker::Proximity, sweep::Attacker::CRouting};
+  sweep::Options opts;
+  opts.patterns = 400;
+  const auto res = sweep::run(grid, opts);
+  ASSERT_EQ(res.rows.size(), 4u);
+  ASSERT_GT(res.rows[0].open_sinks, 0u);
+  ASSERT_GT(res.rows[1].open_sinks, 0u);
+  ASSERT_EQ(res.rows[3].open_sinks, 0u);
+  EXPECT_EQ(res.rows[1].oer, 0.0);
+  EXPECT_EQ(res.rows[1].hd, 0.0);
+  EXPECT_EQ(res.rows[0].els, 0.0);
+
+  // The trimmed cells of every table line naming `attacker`, in order.
+  auto lines_of = [](const std::string& table, const std::string& attacker) {
+    std::vector<std::vector<std::string>> out;
+    std::istringstream in(table);
+    std::string line;
+    while (std::getline(in, line)) {
+      if (line.find("| " + attacker + " ") == std::string::npos) continue;
+      std::vector<std::string> cells;
+      std::istringstream fields(line.substr(1));
+      std::string cell;
+      while (std::getline(fields, cell, '|')) {
+        const auto b = cell.find_first_not_of(' ');
+        const auto e = cell.find_last_not_of(' ');
+        cells.push_back(b == std::string::npos ? ""
+                                               : cell.substr(b, e - b + 1));
+      }
+      out.push_back(std::move(cells));
+    }
+    return out;
+  };
+
+  // Columns: Benchmark, Seed, Split, Defense, Attacker, CCR, CCR(rand),
+  // OER, HD, Open sinks, E[LS], Equiv, Task ms. Lines run M3, then M4.
+  const auto table = res.table().render();
+  const auto prox = lines_of(table, "proximity");
+  const auto crout = lines_of(table, "crouting");
+  ASSERT_EQ(prox.size(), 2u) << table;
+  ASSERT_EQ(crout.size(), 2u) << table;
+  for (const auto& cells : {prox[0], prox[1], crout[0], crout[1]})
+    ASSERT_EQ(cells.size(), 13u) << table;
+  EXPECT_NE(prox[0][7], "n/a");
+  EXPECT_NE(prox[0][8], "n/a");
+  EXPECT_EQ(prox[0][10], "n/a");
+  EXPECT_EQ(crout[0][7], "n/a");
+  EXPECT_EQ(crout[0][8], "n/a");
+  EXPECT_NE(crout[0][10], "n/a");
+  EXPECT_NE(crout[0][5], "n/a");  // crouting's CCR is its match-in-list
+  EXPECT_EQ(crout[1][5], "n/a");
+  EXPECT_EQ(crout[1][10], "n/a");
+
+  // Columns: Benchmark, Defense, Attacker, CCR, CCR(rand), OER, HD, Cells.
+  const auto summary = res.summary().render();
+  const auto prox_mean = lines_of(summary, "proximity");
+  const auto crout_mean = lines_of(summary, "crouting");
+  ASSERT_EQ(prox_mean.size(), 1u) << summary;
+  ASSERT_EQ(crout_mean.size(), 1u) << summary;
+  ASSERT_EQ(prox_mean[0].size(), 8u) << summary;
+  ASSERT_EQ(crout_mean[0].size(), 8u) << summary;
+  EXPECT_NE(prox_mean[0][5], "n/a");
+  EXPECT_NE(prox_mean[0][6], "n/a");
+  EXPECT_NE(crout_mean[0][3], "n/a");
+  EXPECT_EQ(crout_mean[0][5], "n/a");
+  EXPECT_EQ(crout_mean[0][6], "n/a");
+}
+
 }  // namespace
