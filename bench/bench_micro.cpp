@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -140,6 +141,10 @@ void BM_RouteNets(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(rig.tasks.size()));
   set_route_counters(state, stats);
+  // The rip-up passes' share of the work: pass1_pops, pass2_pops, ...
+  for (std::size_t p = 1; p < stats.passes.size(); ++p)
+    state.counters["pass" + std::to_string(p) + "_pops"] =
+        static_cast<double>(stats.passes[p].heap_pops);
 }
 
 void BM_ProximityAttack(benchmark::State& state) {

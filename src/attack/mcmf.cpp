@@ -1,28 +1,21 @@
 #include "attack/mcmf.hpp"
 
+#include "util/radix_queue.hpp"
+
 #include <algorithm>
-#include <functional>
 #include <limits>
 #include <numeric>
 #include <stdexcept>
-#include <utility>
 
 namespace sm::attack {
 
 namespace {
 constexpr std::int64_t kInf = std::numeric_limits<std::int64_t>::max();
-using Entry = std::pair<std::int64_t, int>;  ///< (distance or key, node)
 
-void heap_push(std::vector<Entry>& heap, std::int64_t key, int node) {
-  heap.emplace_back(key, node);
-  std::push_heap(heap.begin(), heap.end(), std::greater<>());
-}
-
-Entry heap_pop(std::vector<Entry>& heap) {
-  std::pop_heap(heap.begin(), heap.end(), std::greater<>());
-  const Entry top = heap.back();
-  heap.pop_back();
-  return top;
+/// Both queues below hold non-negative keys (distances, marginal costs) and
+/// pop in (key, node) order.
+void push(util::RadixQueue& q, std::int64_t key, int node) {
+  q.push(static_cast<std::uint64_t>(key), static_cast<std::uint32_t>(node));
 }
 }  // namespace
 
@@ -74,7 +67,7 @@ std::vector<int> min_cost_matching(std::size_t sinks,
   std::vector<int> via(pi.size(), -1);
   std::vector<char> scanned(pi.size(), 0);
   std::vector<int> touched;
-  std::vector<Entry> heap;
+  util::RadixQueue frontier;
 
   // Shortest reduced-cost path from sink `s` to t; kInf when there is none.
   // On success every scanned node takes pi += dist - D, which keeps the
@@ -85,7 +78,7 @@ std::vector<int> min_cost_matching(std::size_t sinks,
       scanned[v] = 0;
     }
     touched.clear();
-    heap.clear();
+    frontier.clear();
     const auto relax = [&](int v, std::int64_t d, std::int64_t rc, int from) {
       if (rc < 0)
         throw std::logic_error("min_cost_matching: negative reduced cost");
@@ -93,15 +86,16 @@ std::vector<int> min_cost_matching(std::size_t sinks,
       if (dist[v] == kInf) touched.push_back(v);
       dist[v] = d + rc;
       via[v] = from;
-      heap_push(heap, d + rc, v);
+      push(frontier, d + rc, v);
     };
     dist[s] = 0;
     touched.push_back(s);
-    heap_push(heap, 0, s);
-    while (!heap.empty()) {
-      const auto [d, u] = heap_pop(heap);
+    push(frontier, 0, s);
+    while (!frontier.empty()) {
+      const int u = static_cast<int>(frontier.pop());
       if (scanned[u]) continue;  // stale entry
       scanned[u] = 1;
+      const std::int64_t d = dist[u];  // a node's first pop is its distance
       if (u == t) {
         for (const int v : touched)
           if (scanned[v]) pi[v] += dist[v] - d;
@@ -147,21 +141,22 @@ std::vector<int> min_cost_matching(std::size_t sinks,
 
   // Lazy order: each key is a lower bound on its sink's marginal cost,
   // starting at the sink's cheapest candidate.
-  std::vector<Entry> queue;
+  util::RadixQueue queue;
   for (int s = 0; s < ns; ++s) {
     std::int64_t key = kInf;
     for (int k = first[s]; k < first[s + 1]; ++k)
       key = std::min(key, candidates[of_sink[k]].cost);
-    if (key != kInf) heap_push(queue, key, s);
+    if (key != kInf) push(queue, key, s);
   }
   while (!queue.empty()) {
-    const int s = heap_pop(queue).second;
+    const int s = static_cast<int>(queue.pop());
     const std::int64_t before = pi[s];
     const std::int64_t d = search(s);
     if (d == kInf) continue;  // unmatchable now, so unmatchable for good
     const std::int64_t marginal = d - before;
-    if (!queue.empty() && marginal > queue.front().first)
-      heap_push(queue, marginal, s);
+    if (!queue.empty() &&
+        marginal > static_cast<std::int64_t>(queue.min_key()))
+      push(queue, marginal, s);
     else
       augment();
   }

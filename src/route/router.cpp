@@ -1,9 +1,12 @@
 #include "route/router.hpp"
 
+#include "util/radix_queue.hpp"
 #include "util/rng.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
+#include <stdexcept>
 #include <vector>
 
 namespace sm::route {
@@ -70,15 +73,20 @@ namespace {
 /// Congestion state: committed usage, negotiation history, blockages,
 /// per-layer capacities, and the PathFinder pressure schedule. History,
 /// pressure and the keep selection change between passes; usage changes
-/// after every routed net.
+/// after every routed net. Each node's PathFinder cost is cached and
+/// recomputed, by the one expression in price(), wherever its usage, its
+/// history or the pressure changes, so an A* relaxation reads one double.
 class CongestionState {
  public:
   CongestionState(const RouteGrid& grid, const MetalStack& stack,
                   const RouterOptions& opts)
-      : grid_(&grid), opts_(&opts) {
+      : opts_(&opts),
+        nxy_(static_cast<std::size_t>(grid.nx()) *
+             static_cast<std::size_t>(grid.ny())) {
     const std::size_t n = grid.num_nodes();
     usage_.assign(n, 0);
     history_.assign(n, 0.0f);
+    cost_.assign(n, 0.0);
     cap_.resize(static_cast<std::size_t>(grid.layers()) + 1);
     for (int l = 1; l <= grid.layers(); ++l)
       cap_[static_cast<std::size_t>(l)] = grid.capacity(stack, l);
@@ -93,58 +101,77 @@ class CongestionState {
           for (int x = lo.x; x <= hi.x; ++x)
             blocked_[grid.index({x, y, l})] = 1;
     }
+    price_all();
   }
 
-  int capacity(int layer) const { return cap_[static_cast<std::size_t>(layer)]; }
-  int usage_at(std::size_t idx) const { return usage_[idx]; }
   bool blocked(std::size_t idx) const { return blocked_[idx] != 0; }
 
-  /// Would one more net through `idx` stay within the layer's capacity?
-  bool fits(std::size_t idx, int layer) const {
-    return usage_[idx] + 1 <= cap_[static_cast<std::size_t>(layer)];
-  }
+  /// Would one more net through `idx` stay within its layer's capacity?
+  bool fits(std::size_t idx) const { return usage_[idx] + 1 <= cap_of(idx); }
 
   void add_usage(std::size_t idx, int delta) {
     usage_[idx] = static_cast<std::int32_t>(usage_[idx] + delta);
+    cost_[idx] = price(idx, cap_of(idx));
   }
 
-  void clear_usage() { std::fill(usage_.begin(), usage_.end(), 0); }
+  void clear_usage() {
+    std::fill(usage_.begin(), usage_.end(), 0);
+    price_all();
+  }
 
   /// PathFinder cost of stepping onto node `idx`. The present-overuse
   /// penalty grows with each negotiation round (set_pressure), the classic
   /// PathFinder schedule that forces convergence.
-  double node_cost(std::size_t idx, int layer) const {
-    const int over = usage_[idx] + 1 - cap_[static_cast<std::size_t>(layer)];
+  double node_cost(std::size_t idx) const { return cost_[idx]; }
+
+  void set_pressure(double p) {
+    pressure_ = p;
+    price_all();
+  }
+
+  void bump_history() {
+    for_each_node([&](std::size_t i, int cap) {
+      const int over = usage_[i] - cap;
+      if (over > 0)
+        history_[i] += static_cast<float>(opts_->history_increment * over);
+    });
+    price_all();
+  }
+
+  std::size_t count_overflow() const {
+    std::size_t n = 0;
+    for_each_node([&](std::size_t i, int cap) {
+      if (usage_[i] > cap) ++n;
+    });
+    return n;
+  }
+
+ private:
+  int cap_of(std::size_t idx) const { return cap_[idx / nxy_ + 1]; }
+
+  double price(std::size_t idx, int cap) const {
+    const int over = usage_[idx] + 1 - cap;
     double c = 1.0 + static_cast<double>(history_[idx]);
     if (over > 0) c += opts_->overflow_penalty * pressure_ * over;
     return c;
   }
 
-  void set_pressure(double p) { pressure_ = p; }
-
-  void bump_history() {
-    for (std::size_t i = 0; i < usage_.size(); ++i) {
-      const GridPoint g = grid_->at(i);
-      const int over = usage_[i] - cap_[static_cast<std::size_t>(g.layer)];
-      if (over > 0)
-        history_[i] += static_cast<float>(opts_->history_increment * over);
-    }
+  void price_all() {
+    for_each_node([&](std::size_t i, int cap) { cost_[i] = price(i, cap); });
   }
 
-  std::size_t count_overflow() const {
-    std::size_t n = 0;
-    for (std::size_t i = 0; i < usage_.size(); ++i) {
-      const GridPoint g = grid_->at(i);
-      if (usage_[i] > cap_[static_cast<std::size_t>(g.layer)]) ++n;
-    }
-    return n;
+  /// Call f(node, its layer's capacity) for every node, layer by layer.
+  template <typename F>
+  void for_each_node(F&& f) const {
+    for (std::size_t l = 1; l < cap_.size(); ++l)
+      for (std::size_t i = (l - 1) * nxy_; i < l * nxy_; ++i) f(i, cap_[l]);
   }
 
- private:
-  const RouteGrid* grid_;
   const RouterOptions* opts_;
+  std::size_t nxy_;  ///< nodes per layer
   std::vector<std::int32_t> usage_;
   std::vector<float> history_;
+  std::vector<double> cost_;  ///< price() of every node, kept current
   std::vector<std::uint8_t> blocked_;
   std::vector<int> cap_;
   double pressure_ = 1.0;
@@ -158,71 +185,11 @@ struct SearchWork {
   std::uint64_t heap_pushes = 0;
 };
 
-/// The A* open list: a 4-ary min-heap of (f, node) entries over a member
-/// buffer, so a search allocates nothing once the buffer has grown. It pops
-/// in strict (f, node) order: an equal-f tie goes to the lower node index.
-/// Any queue with that order pops the same sequence, so routes and the A*
-/// counters do not depend on the heap's shape. Four children per slot make
-/// the heap half as deep as a binary one.
-class OpenList {
- public:
-  bool empty() const { return heap_.empty(); }
-  void clear() { heap_.clear(); }
-
-  void push(double f, std::uint32_t node) {
-    const Entry e{f, node};
-    std::size_t i = heap_.size();
-    heap_.push_back(e);
-    while (i > 0) {
-      const std::size_t up = (i - 1) / 4;
-      if (!before(e, heap_[up])) break;
-      heap_[i] = heap_[up];
-      i = up;
-    }
-    heap_[i] = e;
-  }
-
-  /// Remove the least entry and return its node. The list must not be
-  /// empty.
-  std::uint32_t pop() {
-    const std::uint32_t top = heap_.front().node;
-    const Entry last = heap_.back();
-    heap_.pop_back();
-    const std::size_t n = heap_.size();
-    if (n == 0) return top;
-    std::size_t i = 0;
-    for (;;) {
-      const std::size_t first = 4 * i + 1;
-      if (first >= n) break;
-      const std::size_t end = std::min(first + 4, n);
-      std::size_t least = first;
-      for (std::size_t c = first + 1; c < end; ++c)
-        if (before(heap_[c], heap_[least])) least = c;
-      if (!before(heap_[least], last)) break;
-      heap_[i] = heap_[least];
-      i = least;
-    }
-    heap_[i] = last;
-    return top;
-  }
-
- private:
-  struct Entry {
-    double f;
-    std::uint32_t node;
-  };
-
-  static bool before(const Entry& a, const Entry& b) {
-    return a.f < b.f || (a.f == b.f && a.node < b.node);
-  }
-
-  std::vector<Entry> heap_;
-};
-
-/// A* search state with epoch-stamped arrays, so repeated searches cost
-/// O(visited), not O(grid): every search bumps its epoch first, so no state
-/// of a previous search is ever read. Reads the CongestionState and never
-/// writes it; the caller commits a net's usage after its searches.
+/// A* search state in one per-node record stamped per search, so repeated
+/// searches cost O(visited), not O(grid): every search takes two fresh
+/// stamps first, so no state of a previous search is ever read. Reads the
+/// CongestionState and never writes it; the caller commits a net's usage
+/// after its searches.
 ///
 /// Cost model: a lateral step costs the entered node's node_cost (>= 1), a
 /// via step via_cost plus that (>= via_cost + 1), plus the net's tie jitter.
@@ -230,17 +197,34 @@ class OpenList {
 /// jitter, so near-ties would fall to expansion order and the route would
 /// depend on the heuristic. In double the jittered cheapest path is unique
 /// and A* returns it under any consistent heuristic.
+///
+/// The open list is a util::RadixQueue keyed by the bits of f = g + h,
+/// which pops in strict (f, node) order: an equal-f tie goes to the lower
+/// node index. Any queue with that order pops the same sequence, so routes
+/// and the A* counters do not depend on the queue's shape.
 class Searcher {
  public:
   Searcher(const RouteGrid& grid, const MetalStack& stack,
            const RouterOptions& opts, const CongestionState& cong)
       : grid_(&grid), opts_(&opts), cong_(&cong),
-        via_lb_(opts.via_cost + 1.0) {
+        via_lb_(opts.via_cost + 1.0),
+        nx_(static_cast<std::size_t>(grid.nx())),
+        nxy_(nx_ * static_cast<std::size_t>(grid.ny())),
+        layers_(grid.layers()) {
+    // Open-list ids are 32-bit node indices, and records hold 16-bit
+    // coordinates.
+    constexpr int kMaxSide = std::numeric_limits<std::uint16_t>::max();
+    if (grid.num_nodes() > std::numeric_limits<std::uint32_t>::max() ||
+        grid.nx() > kMaxSide || grid.ny() > kMaxSide)
+      throw std::length_error("router: routing grid too large");
     const std::size_t n = grid.num_nodes();
-    gscore_.assign(n, 0.0);
-    parent_.assign(n, 0);
-    epoch_mark_.assign(n, 0);
-    closed_mark_.assign(n, 0);
+    node_.resize(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      const GridPoint g = grid.at(i);
+      node_[i].x = static_cast<std::uint16_t>(g.x);
+      node_[i].y = static_cast<std::uint16_t>(g.y);
+      node_[i].layer = static_cast<std::uint16_t>(g.layer);
+    }
     target_mark_.assign(n, 0);
     tree_mark_.assign(n, 0);
     wx1_ = grid.nx() - 1;
@@ -266,7 +250,8 @@ class Searcher {
 
   /// Clip every subsequent search to the lateral window `w` (layers stay
   /// unrestricted — via stacks and lifted wiring need them all): a net's
-  /// inflated terminal bbox, or the full grid for its retry.
+  /// inflated terminal bbox, or the full grid for its retry. The window
+  /// must lie inside the grid and hold the search's start.
   void set_window(const util::GridRect& w) {
     wx0_ = w.x0;
     wy0_ = w.y0;
@@ -289,76 +274,87 @@ class Searcher {
   static constexpr std::size_t npos = static_cast<std::size_t>(-1);
 
   /// A* from `start` to any node in `targets` (marked via target_mark_).
-  /// Layers below `min_layer` are off-limits. Returns the reached target
-  /// node or npos; parent_ encodes the path. Adds its heap traffic to work().
+  /// Layers below `min_layer` are off-limits, and `start` must not lie
+  /// below it. Returns the reached target node or npos; the records'
+  /// parents encode the path. Adds its queue traffic to work().
   std::size_t search(std::size_t start, const std::vector<std::size_t>& targets,
                      int min_layer) {
-    ++epoch_;
+    stamp_ += 2;
+    const std::uint32_t open = stamp_;        // g and parent set
+    const std::uint32_t closed = stamp_ + 1;  // popped
     // Mark targets and compute their bbox for the heuristic.
     tminx_ = tminy_ = tminl_ = std::numeric_limits<int>::max();
     tmaxx_ = tmaxy_ = tmaxl_ = std::numeric_limits<int>::min();
     for (const auto t : targets) {
-      closed_mark_[t] = 0;  // ensure not stale-closed
-      target_set_.push_back(t);
-      const GridPoint g = grid_->at(t);
-      tminx_ = std::min(tminx_, g.x);
-      tmaxx_ = std::max(tmaxx_, g.x);
-      tminy_ = std::min(tminy_, g.y);
-      tmaxy_ = std::max(tmaxy_, g.y);
-      tminl_ = std::min(tminl_, g.layer);
-      tmaxl_ = std::max(tmaxl_, g.layer);
-      target_mark_[t] = epoch_;
+      const Node& g = node_[t];
+      tminx_ = std::min<int>(tminx_, g.x);
+      tmaxx_ = std::max<int>(tmaxx_, g.x);
+      tminy_ = std::min<int>(tminy_, g.y);
+      tmaxy_ = std::max<int>(tmaxy_, g.y);
+      tminl_ = std::min<int>(tminl_, g.layer);
+      tmaxl_ = std::max<int>(tmaxl_, g.layer);
+      target_mark_[t] = open;
     }
 
     open_.clear();
-    gscore_[start] = 0.0;
-    epoch_mark_[start] = epoch_;
-    parent_[start] = static_cast<std::uint32_t>(start);
-    open_.push(heuristic(grid_->at(start)), static_cast<std::uint32_t>(start));
+    Node& s = node_[start];
+    s.g = 0.0;
+    s.parent = static_cast<std::uint32_t>(start);
+    s.stamp = open;
+    push(0.0, s.x, s.y, s.layer, start);
     std::uint64_t pops = 0, pushes = 1;
 
+    // The relaxations below skip the bounds checks that two invariants
+    // make redundant. Every popped node lies inside the search window at a
+    // layer >= min_layer: the start does, a lateral push is checked
+    // against the window, and a via push keeps x and y and is checked
+    // against the layers. The window is clamped to the grid, so a lateral
+    // step that stays in the window stays on the grid, and a via step
+    // needs only the layer bounds.
+    const int lowest = std::max(1, min_layer);
     std::size_t found = npos;
     while (!open_.empty()) {
       const std::size_t node = open_.pop();
       ++pops;
-      if (closed_mark_[node] == epoch_) continue;
-      closed_mark_[node] = epoch_;
-      if (target_mark_[node] == epoch_) {
+      Node& cur = node_[node];
+      if (cur.stamp == closed) continue;
+      cur.stamp = closed;
+      if (target_mark_[node] == open) {
         found = node;
         break;
       }
-      const GridPoint g = grid_->at(node);
-      auto try_step = [&](const GridPoint& ng, double step_cost) {
-        if (!grid_->in_bounds(ng) || ng.layer < min_layer) return;
-        if (ng.x < wx0_ || ng.x > wx1_ || ng.y < wy0_ || ng.y > wy1_) return;
-        const std::size_t ni = grid_->index(ng);
-        // Blockages forbid lateral wiring; vias (layer changes) pass.
-        if (ng.layer == g.layer && cong_->blocked(ni)) return;
-        if (closed_mark_[ni] == epoch_) return;
-        const double ng_cost = gscore_[node] + step_cost +
-                               cong_->node_cost(ni, ng.layer) + jitter(ni);
-        if (epoch_mark_[ni] == epoch_ && gscore_[ni] <= ng_cost) return;
-        epoch_mark_[ni] = epoch_;
-        gscore_[ni] = ng_cost;
-        parent_[ni] = static_cast<std::uint32_t>(node);
-        open_.push(ng_cost + heuristic(ng), static_cast<std::uint32_t>(ni));
+      const int x = cur.x, y = cur.y, l = cur.layer;
+      const double g = cur.g;
+      const auto relax = [&](std::size_t ni, double base, int nx, int ny,
+                             int nl) {
+        Node& n = node_[ni];
+        if (n.stamp == closed) return;
+        const double cost = base + cong_->node_cost(ni) + jitter(ni);
+        if (n.stamp == open && n.g <= cost) return;
+        n.g = cost;
+        n.parent = static_cast<std::uint32_t>(node);
+        n.stamp = open;
+        push(cost, nx, ny, nl, ni);
         ++pushes;
       };
-      const auto dir = preferred_[static_cast<std::size_t>(g.layer)];
-      if (dir == netlist::Direction::Horizontal) {
-        try_step({g.x - 1, g.y, g.layer}, 0.0);
-        try_step({g.x + 1, g.y, g.layer}, 0.0);
+      // Blockages forbid lateral wiring; vias (layer changes) pass.
+      if (preferred_[static_cast<std::size_t>(l)] ==
+          netlist::Direction::Horizontal) {
+        if (x > wx0_ && !cong_->blocked(node - 1))
+          relax(node - 1, g, x - 1, y, l);
+        if (x < wx1_ && !cong_->blocked(node + 1))
+          relax(node + 1, g, x + 1, y, l);
       } else {
-        try_step({g.x, g.y - 1, g.layer}, 0.0);
-        try_step({g.x, g.y + 1, g.layer}, 0.0);
+        if (y > wy0_ && !cong_->blocked(node - nx_))
+          relax(node - nx_, g, x, y - 1, l);
+        if (y < wy1_ && !cong_->blocked(node + nx_))
+          relax(node + nx_, g, x, y + 1, l);
       }
-      try_step({g.x, g.y, g.layer - 1}, opts_->via_cost);
-      try_step({g.x, g.y, g.layer + 1}, opts_->via_cost);
+      const double via = g + opts_->via_cost;
+      if (l > lowest) relax(node - nxy_, via, x, y, l - 1);
+      if (l < layers_) relax(node + nxy_, via, x, y, l + 1);
     }
 
-    // Clear target marks for the next search.
-    for (const auto t : target_set_) target_mark_[t] = 0;
-    target_set_.clear();
     ++work_.searches;
     work_.heap_pops += pops;
     work_.heap_pushes += pushes;
@@ -370,30 +366,45 @@ class Searcher {
   /// Walk parents from `node` back to the search start.
   std::vector<std::size_t> backtrack(std::size_t node) const {
     std::vector<std::size_t> path{node};
-    while (parent_[node] != node) {
-      node = parent_[node];
+    while (node_[node].parent != node) {
+      node = node_[node].parent;
       path.push_back(node);
     }
     return path;
   }
 
  private:
-  /// Lower bound on the cost from `g` to the nearest target:
+  /// One grid node: its fixed coordinates and the search state, valid
+  /// while `stamp` is the current search's open or closed stamp.
+  struct Node {
+    double g = 0.0;
+    std::uint32_t parent = 0;
+    std::uint32_t stamp = 0;
+    std::uint16_t x = 0, y = 0, layer = 0;
+  };
+
+  /// Queue `node` at f = g + heuristic. f >= +0.0 always holds: g starts
+  /// at +0.0, every step costs at least 1, and the heuristic is >= +0.0.
+  /// So f is never -0.0 or NaN, and its bits sort like its value.
+  void push(double g, int x, int y, int layer, std::size_t node) {
+    open_.push(std::bit_cast<std::uint64_t>(g + heuristic(x, y, layer)),
+               static_cast<std::uint32_t>(node));
+  }
+
+  /// Lower bound on the cost from (x, y, layer) to the nearest target:
   ///   dx + dy + (via_cost + 1) * max(layer_gap, turn),
   /// with dx, dy, layer_gap the distances to the targets' bounding box and
-  /// layer span, and turn = 1 when g's layer cannot move along the
+  /// layer span, and turn = 1 when the layer cannot move along the
   /// remaining offset (a horizontal layer with dy > 0, a vertical one with
   /// dx > 0). Admissible: reaching any target takes >= dx + dy lateral
   /// steps (cost >= 1 each) and >= max(layer_gap, turn) vias (cost >=
   /// via_cost + 1 each). Consistent: a lateral step changes only dx or dy,
   /// by at most 1; a via step changes max(layer_gap, turn) by at most 1.
-  /// Takes the point, not the index: callers already hold the GridPoint,
-  /// and the at() division is real money on every relaxation.
-  double heuristic(const GridPoint& g) const {
-    const int dx = std::max({0, tminx_ - g.x, g.x - tmaxx_});
-    const int dy = std::max({0, tminy_ - g.y, g.y - tmaxy_});
-    const int layer_gap = std::max({0, tminl_ - g.layer, g.layer - tmaxl_});
-    const bool horizontal = preferred_[static_cast<std::size_t>(g.layer)] ==
+  double heuristic(int x, int y, int layer) const {
+    const int dx = std::max({0, tminx_ - x, x - tmaxx_});
+    const int dy = std::max({0, tminy_ - y, y - tmaxy_});
+    const int layer_gap = std::max({0, tminl_ - layer, layer - tmaxl_});
+    const bool horizontal = preferred_[static_cast<std::size_t>(layer)] ==
                             netlist::Direction::Horizontal;
     const int turn = (horizontal ? dy : dx) > 0 ? 1 : 0;
     return static_cast<double>(dx + dy) +
@@ -416,17 +427,16 @@ class Searcher {
   const RouteGrid* grid_;
   const RouterOptions* opts_;
   const CongestionState* cong_;
-  double via_lb_;  ///< lower bound on a via step's cost
-  std::vector<double> gscore_;
-  std::vector<std::uint32_t> parent_;
-  std::vector<std::uint32_t> epoch_mark_;
-  std::vector<std::uint32_t> closed_mark_;
+  double via_lb_;    ///< lower bound on a via step's cost
+  std::size_t nx_;   ///< index stride of a y step
+  std::size_t nxy_;  ///< index stride of a layer step
+  int layers_;
+  std::vector<Node> node_;
   std::vector<std::uint32_t> target_mark_;
   std::vector<std::uint32_t> tree_mark_;
-  std::vector<std::size_t> target_set_;
-  OpenList open_;
+  util::RadixQueue open_;
   std::vector<netlist::Direction> preferred_;  ///< per-layer wire direction
-  std::uint32_t epoch_ = 0;
+  std::uint32_t stamp_ = 0;
   std::uint32_t tree_epoch_ = 0;
   SearchWork work_;
   std::uint64_t jitter_seed_ = 0;
@@ -609,14 +619,25 @@ RoutingResult Router::route(const std::vector<RouteTask>& tasks,
   // One pass over `ripped` (in fixed net order), each net clipped to its
   // window. Clipping can make a routable net fail (a forced detour past the
   // margin): those retry on the full grid, in fixed net order, after every
-  // other net of the pass committed.
+  // other net of the pass committed. Records the pass's work.
+  std::vector<PassWork> passes;
   auto route_pass = [&](const std::vector<std::size_t>& ripped) {
+    const SearchWork before = searcher.work();
+    PassWork pw;
+    pw.nets_routed = ripped.size();
     for (const auto ti : ripped) route_one(ti, window[ti]);
     for (const auto ti : ripped) {
       if (state[ti].route.success) continue;
       for (const auto nidx : state[ti].nodes) cong.add_usage(nidx, -1);
       route_one(ti, grid_rect);
+      ++pw.full_grid_retries;
     }
+    const SearchWork& after = searcher.work();
+    pw.searches = after.searches - before.searches;
+    pw.heap_pops = after.heap_pops - before.heap_pops;
+    pw.heap_pushes = after.heap_pushes - before.heap_pushes;
+    pw.overflowed_gcells = cong.count_overflow();
+    passes.push_back(pw);
   };
 
   // Pass 0: route everything.
@@ -630,7 +651,7 @@ RoutingResult Router::route(const std::vector<RouteTask>& tasks,
   // fill, so re-routed nets see full tracks as expensive and spread instead
   // of oscillating in lockstep.
   for (int pass = 1; pass < opts_.passes; ++pass) {
-    if (cong.count_overflow() == 0) break;
+    if (passes.back().overflowed_gcells == 0) break;
     cong.bump_history();
     cong.set_pressure(1.0 + static_cast<double>(pass));
 
@@ -641,7 +662,7 @@ RoutingResult Router::route(const std::vector<RouteTask>& tasks,
       bool rip = !st.route.success;
       if (!rip) {
         for (const auto nidx : st.nodes) {
-          if (!cong.fits(nidx, grid.at(nidx).layer)) {
+          if (!cong.fits(nidx)) {
             rip = true;
             break;
           }
@@ -662,10 +683,11 @@ RoutingResult Router::route(const std::vector<RouteTask>& tasks,
   for (std::size_t i = 0; i < tasks.size(); ++i)
     result.routes[i] = std::move(state[i].route);
   result.stats = collect_stats(grid, result.routes);
-  result.stats.overflowed_gcells = cong.count_overflow();
+  result.stats.overflowed_gcells = passes.back().overflowed_gcells;
   result.stats.searches = searcher.work().searches;
   result.stats.heap_pops = searcher.work().heap_pops;
   result.stats.heap_pushes = searcher.work().heap_pushes;
+  result.stats.passes = std::move(passes);
   return result;
 }
 

@@ -28,10 +28,11 @@
 // the vias the remaining offset needs, and keeps its path costs in double
 // precision, so it returns the unique jittered cheapest path whatever the
 // bound (docs/ARCHITECTURE.md, `route`; tests/test_route.cpp checks the
-// optimality against a reference Dijkstra). Its open list is a 4-ary heap
-// that pops in strict (f, node) order; any queue with that order pops the
-// same sequence, so neither the routes nor the A* counters depend on the
-// heap's shape (tests/test_route.cpp pins both, with and without jitter).
+// optimality against a reference Dijkstra). Its open list is a radix queue
+// (util/radix_queue.hpp) keyed by the bits of f that pops in strict
+// (f, node) order; any queue with that order pops the same sequence, so
+// neither the routes nor the A* counters depend on the queue's shape
+// (tests/test_route.cpp pins both, with and without jitter).
 #pragma once
 
 #include "netlist/netlist.hpp"
@@ -72,6 +73,17 @@ struct NetRoute {
   int min_layer = 1;
 };
 
+/// The work of one negotiation pass. Pass 0 routes every task; a later
+/// pass routes the tasks it ripped.
+struct PassWork {
+  std::uint64_t searches = 0;      ///< two-pin connection searches
+  std::uint64_t heap_pops = 0;     ///< open-list pops, stale entries included
+  std::uint64_t heap_pushes = 0;   ///< open-list pushes
+  std::size_t nets_routed = 0;     ///< tasks the pass routed
+  std::size_t full_grid_retries = 0;  ///< of those, retried on the full grid
+  std::size_t overflowed_gcells = 0;  ///< overflowed nodes after the pass
+};
+
 struct RoutingStats {
   /// Wirelength in microns per layer; index 1..10 (0 unused).
   std::array<double, netlist::MetalStack::kNumLayers + 1> wire_um{};
@@ -85,6 +97,11 @@ struct RoutingStats {
   std::uint64_t searches = 0;     ///< two-pin connection searches
   std::uint64_t heap_pops = 0;    ///< open-list pops, stale entries included
   std::uint64_t heap_pushes = 0;  ///< open-list pushes
+  /// One record per pass run, in order. Their searches, pops and pushes
+  /// sum to the totals above, and the last one's overflow is
+  /// overflowed_gcells. Router::route fills them, collect_stats leaves
+  /// none.
+  std::vector<PassWork> passes;
 
   double total_wire_um() const;
   std::uint64_t total_vias() const;

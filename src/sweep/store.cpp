@@ -177,6 +177,21 @@ std::string to_store_line(const StoreRecord& rec) {
   return w.str();
 }
 
+namespace {
+
+/// `v` as an int in [lo, hi]. Throws std::invalid_argument for any other
+/// number, so a value past int's range is never narrowed into the range.
+int int_in(const util::json::Value& v, const char* field, int lo, int hi) {
+  const std::int64_t x = v.as_int();
+  if (x < lo || x > hi)
+    throw std::invalid_argument(std::string("store: ") + field + " " +
+                                std::to_string(x) + " is outside " +
+                                std::to_string(lo) + ".." + std::to_string(hi));
+  return static_cast<int>(x);
+}
+
+}  // namespace
+
 StoreRecord parse_store_line(const std::string& line) {
   const auto v = util::json::parse(line);
   if (!v.is_object())
@@ -185,7 +200,8 @@ StoreRecord parse_store_line(const std::string& line) {
   rec.config_hash = v.at("config_hash").as_string();
   rec.row.benchmark = v.at("benchmark").as_string();
   rec.row.seed = v.at("seed").as_u64();
-  rec.row.split_layer = static_cast<int>(v.at("split_layer").as_int());
+  rec.row.split_layer = int_in(v.at("split_layer"), "split_layer", 1,
+                              netlist::MetalStack::kNumLayers - 1);
   rec.row.defense = defense_from_string(v.at("defense").as_string());
   // Attacker-axis fields are absent from pre-axis logs (whose records are
   // all proximity cells by construction) — default rather than reject, so
@@ -194,7 +210,7 @@ StoreRecord parse_store_line(const std::string& line) {
     rec.row.attacker = attacker_from_string(a->as_string());
   if (const auto* e = v.find("els")) rec.row.els = e->as_double();
   if (const auto* q = v.find("equiv"))
-    rec.row.equiv = static_cast<int>(q->as_int());
+    rec.row.equiv = int_in(*q, "equiv", -1, 2);  // Row::equiv's values
   // Quarantine marker (absent = ok; every pre-quarantine record is ok by
   // construction). Anything but the two known statuses is a torn/foreign
   // line, not a record to guess about.

@@ -306,6 +306,77 @@ TEST_F(RouterPins, ZeroJitter) {
                 {1379, 148738, 243725, 1730, 101, 4850038728928209538ULL});
 }
 
+// The per-pass records of the pinned layout: their searches, pops and
+// pushes sum to the totals the pins above hold, the last pass's overflow is
+// the result's, and each record is pinned too.
+class RouterPassPins : public RouterTest {
+ protected:
+  static RoutingResult route_c880(double tie_jitter) {
+    CellLibrary lib;
+    const auto nl = sm::workloads::generate(
+        lib, sm::workloads::iscas85_profile("c880"), 5);
+    sm::place::Placer placer;
+    const auto pl = placer.place(nl);
+    RouterOptions opts;
+    opts.gcell_um = 1.4;
+    opts.passes = 4;
+    opts.tie_jitter = tie_jitter;
+    return Router(opts).route(make_tasks(nl, pl), pl.floorplan.die,
+                              lib.metal());
+  }
+  static void expect_passes(const RoutingResult& res,
+                            const std::vector<PassWork>& pin) {
+    const auto& passes = res.stats.passes;
+    ASSERT_EQ(passes.size(), pin.size());
+    PassWork sum;
+    for (std::size_t p = 0; p < passes.size(); ++p) {
+      EXPECT_EQ(passes[p].searches, pin[p].searches) << "pass " << p;
+      EXPECT_EQ(passes[p].heap_pops, pin[p].heap_pops) << "pass " << p;
+      EXPECT_EQ(passes[p].heap_pushes, pin[p].heap_pushes) << "pass " << p;
+      EXPECT_EQ(passes[p].nets_routed, pin[p].nets_routed) << "pass " << p;
+      EXPECT_EQ(passes[p].full_grid_retries, pin[p].full_grid_retries)
+          << "pass " << p;
+      EXPECT_EQ(passes[p].overflowed_gcells, pin[p].overflowed_gcells)
+          << "pass " << p;
+      sum.searches += passes[p].searches;
+      sum.heap_pops += passes[p].heap_pops;
+      sum.heap_pushes += passes[p].heap_pushes;
+    }
+    EXPECT_EQ(sum.searches, res.stats.searches);
+    EXPECT_EQ(sum.heap_pops, res.stats.heap_pops);
+    EXPECT_EQ(sum.heap_pushes, res.stats.heap_pushes);
+    EXPECT_EQ(passes.back().overflowed_gcells, res.stats.overflowed_gcells);
+    // Pass 0 routes every task; a rip-up pass routes only what it ripped.
+    EXPECT_EQ(passes.front().nets_routed, res.routes.size());
+  }
+};
+
+TEST_F(RouterPassPins, DefaultJitter) {
+  const auto res = route_c880(0.05);
+  // RouterPins.DefaultJitter's totals.
+  EXPECT_EQ(res.stats.searches, 1403u);
+  EXPECT_EQ(res.stats.heap_pops, 158667u);
+  EXPECT_EQ(res.stats.heap_pushes, 260255u);
+  EXPECT_EQ(res.stats.overflowed_gcells, 95u);
+  expect_passes(res, {{836, 32834, 64378, 443, 0, 240},
+                      {240, 34250, 58296, 92, 0, 130},
+                      {175, 43856, 66381, 59, 0, 105},
+                      {152, 47727, 71200, 55, 0, 95}});
+}
+
+TEST_F(RouterPassPins, ZeroJitter) {
+  const auto res = route_c880(0.0);
+  // RouterPins.ZeroJitter's totals.
+  EXPECT_EQ(res.stats.searches, 1379u);
+  EXPECT_EQ(res.stats.heap_pops, 148738u);
+  EXPECT_EQ(res.stats.heap_pushes, 243725u);
+  EXPECT_EQ(res.stats.overflowed_gcells, 101u);
+  expect_passes(res, {{836, 30564, 60822, 443, 0, 235},
+                      {251, 31578, 53598, 93, 0, 146},
+                      {157, 41256, 62324, 59, 0, 107},
+                      {135, 45340, 66981, 52, 0, 101}});
+}
+
 TEST_F(RouterTest, CongestionSpreadsTraffic) {
   // Many parallel nets share a narrow corridor (pins spread over a few
   // gcell rows, as a legalized placement would). Negotiation must spread
@@ -498,6 +569,9 @@ TEST_F(RouterTest, ClippedFailureRetriesOnFullGrid) {
     detour |= std::max(seg.a.y, seg.b.y) >= 26;
   EXPECT_TRUE(detour) << "the route never left the clipped window";
   EXPECT_EQ(res.stats.searches, 2u);  // the clipped search, then the retry
+  ASSERT_EQ(res.stats.passes.size(), 1u);  // no overflow, so no rip-up
+  EXPECT_EQ(res.stats.passes[0].full_grid_retries, 1u);
+  EXPECT_EQ(res.stats.passes[0].searches, 2u);
   check_connected(res.grid, res.routes[0], t.terminals);
 }
 

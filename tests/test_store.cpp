@@ -243,6 +243,50 @@ TEST(Store, LoadSkipsDeeplyNestedLine) {
   std::remove(path.c_str());
 }
 
+// split_layer and equiv must parse whole and inside their ranges: M1-M9,
+// and Row::equiv's -1..2. Past int's range they used to be narrowed, so
+// "equiv":4294967297 read as 1 (Equivalent) and "split_layer":4294967299 as
+// 3. Such a line is malformed, and the loader skips it.
+TEST(Store, ParseRejectsOutOfRangeLayerAndVerdict) {
+  const std::string line = to_store_line(sample_record());
+  const auto with = [&](const std::string& field, const std::string& value) {
+    const std::string key = "\"" + field + "\":";
+    const auto at = line.find(key) + key.size();
+    return line.substr(0, at) + value + line.substr(line.find(',', at));
+  };
+  for (const char* v : {"1", "9"})
+    EXPECT_EQ(sweep::parse_store_line(with("split_layer", v)).row.split_layer,
+              std::stoi(v));
+  for (const char* v : {"-1", "0", "1", "2"})
+    EXPECT_EQ(sweep::parse_store_line(with("equiv", v)).row.equiv,
+              std::stoi(v));
+  for (const char* v : {"0", "10", "-1", "4294967299", "-4294967293"})
+    EXPECT_THROW(sweep::parse_store_line(with("split_layer", v)),
+                 std::invalid_argument)
+        << v;
+  for (const char* v : {"-2", "3", "4294967297", "-4294967295"})
+    EXPECT_THROW(sweep::parse_store_line(with("equiv", v)),
+                 std::invalid_argument)
+        << v;
+
+  const std::string path = testing::TempDir() + "sm_store_test_range.jsonl";
+  std::remove(path.c_str());
+  {
+    std::ofstream f(path);
+    f << line << '\n'
+      << with("equiv", "4294967297") << '\n'
+      << with("split_layer", "4294967299") << '\n';
+  }
+  const auto store = sweep::load_store({path}, /*must_exist=*/true);
+  EXPECT_EQ(store.lines, 3u);
+  EXPECT_EQ(store.skipped, 2u);
+  ASSERT_EQ(store.records.size(), 1u);
+  const auto& kept = store.records.begin()->second;
+  EXPECT_EQ(kept.row.equiv, -1);
+  EXPECT_EQ(kept.row.split_layer, 4);
+  std::remove(path.c_str());
+}
+
 TEST(Store, MissingFilePolicy) {
   const std::string path = testing::TempDir() + "sm_store_test_absent.jsonl";
   std::remove(path.c_str());

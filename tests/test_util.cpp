@@ -1,7 +1,9 @@
 // Unit tests for sm::util — RNG determinism/uniformity, geometry, stats,
-// table rendering, CLI argument parsing.
+// table rendering, CLI argument parsing, and the radix queue against an
+// ordered-set reference.
 #include "util/args.hpp"
 #include "util/geometry.hpp"
+#include "util/radix_queue.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
@@ -9,9 +11,13 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <bit>
+#include <cstdint>
+#include <limits>
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 namespace {
 
@@ -264,6 +270,105 @@ TEST(TaskSeed, DeterministicAndIndexSensitive) {
   for (int i = 0; i < 64; ++i)
     if (a() == b()) ++same;
   EXPECT_LT(same, 2);
+}
+
+// ---------------------------------------------------------- RadixQueue ---
+
+// A fixed-seed random interleaving of push, pop and clear() on a RadixQueue
+// and on a std::set of (key, id) pairs. Every pop must return the set's
+// minimum, and min_key() its key. `draw(rng, last)` makes each pushed key
+// from the last popped one; ids are random and never repeat a live pair.
+template <typename Draw>
+void expect_pops_like_set(std::uint64_t seed, int steps, Draw draw) {
+  Rng rng(seed);
+  RadixQueue q;
+  std::set<std::pair<std::uint64_t, std::uint32_t>> ref;
+  std::uint64_t last = 0;
+  std::size_t pops = 0, clears = 0;
+  for (int step = 0; step < steps; ++step) {
+    const auto op = rng.below(100);
+    if (op < 2) {
+      q.clear();
+      ref.clear();
+      last = 0;
+      ++clears;
+    } else if (op < 57 || ref.empty()) {
+      const std::uint64_t key = draw(rng, last);
+      // Few distinct ids, so equal keys often meet distinct ids.
+      const auto id = static_cast<std::uint32_t>(rng.below(64) * 0x3000001u);
+      if (!ref.emplace(key, id).second) continue;
+      q.push(key, id);
+    } else {
+      ASSERT_FALSE(q.empty()) << "step " << step;
+      const auto expect = *ref.begin();
+      ref.erase(ref.begin());
+      if (rng.below(2) == 0) {
+        ASSERT_EQ(q.min_key(), expect.first) << "step " << step;
+      }
+      ASSERT_EQ(q.pop(), expect.second) << "step " << step;
+      last = expect.first;
+      ++pops;
+    }
+    ASSERT_EQ(q.empty(), ref.empty()) << "step " << step;
+  }
+  while (!ref.empty()) {
+    ASSERT_EQ(q.pop(), ref.begin()->second);
+    ref.erase(ref.begin());
+  }
+  EXPECT_TRUE(q.empty());
+  // The interleaving really popped and cleared.
+  EXPECT_GT(pops, static_cast<std::size_t>(steps) / 4);
+  EXPECT_GT(clears, 0u);
+}
+
+TEST(RadixQueue, IntegerKeysPopInKeyIdOrder) {
+  constexpr std::uint64_t kTop = std::numeric_limits<std::uint64_t>::max();
+  constexpr std::uint64_t kHalf = std::uint64_t{1} << 63;
+  expect_pops_like_set(11, 200000, [&](Rng& rng, std::uint64_t last) {
+    switch (rng.below(8)) {
+      case 0:
+        return last;  // equal to the last pop
+      case 1:
+        return last - rng.below(last < 16 ? last + 1 : 16);  // just below it
+      case 2:
+        return last == kTop ? rng() : rng.below(last + 1);  // at or below it
+      case 3:
+        return std::uint64_t{0};
+      case 4:
+        return kHalf - 8 + rng.below(16);  // around 2^63
+      case 5:
+        return kTop - rng.below(8);  // the top of the range
+      case 6:
+        return last + rng.below(8);  // just above it, with duplicates
+      default:
+        return last + (rng() >> rng.below(64));  // anywhere above it
+    }
+  });
+}
+
+TEST(RadixQueue, DoubleBitsPopInValueOrder) {
+  // The router's keys: the bits of f >= +0.0. +0.0, subnormals, and
+  // die-scale path costs g + h, with the next f near the last popped one
+  // and sometimes a rounding step below it.
+  const auto bits = [](double d) { return std::bit_cast<std::uint64_t>(d); };
+  expect_pops_like_set(12, 200000, [&](Rng& rng, std::uint64_t last) {
+    const double f = std::bit_cast<double>(last);
+    switch (rng.below(6)) {
+      case 0:
+        return bits(0.0);
+      case 1:  // subnormals, up to the smallest normal
+        return rng.below(std::uint64_t{1} << 52);
+      case 2:  // a die-scale path cost, often with a jitter-sized tail
+        return bits(static_cast<double>(rng.below(4000)) +
+                    (rng.below(2) ? 0.05 * rng.uniform() : 0.0));
+      case 3:  // one ulp around the last pop
+        return last == 0 ? last : last - 1 + rng.below(3);
+      case 4:  // the next step of a search: f + step cost
+        return bits(f + static_cast<double>(rng.below(5)));
+      default:
+        return last;
+    }
+  });
 }
 
 }  // namespace
