@@ -1,5 +1,6 @@
 // Repeater insertion (drive-strength fixing) tests.
 #include "core/protect.hpp"
+#include "layout_pins.hpp"
 #include "place/buffering.hpp"
 #include "place/placer.hpp"
 #include "sim/simulator.hpp"
@@ -93,6 +94,10 @@ TEST_F(BufferingTest, FlowIntegrationKeepsEquivalence) {
                   static_cast<std::size_t>(e.sink_a.pin)),
               e.net_b);
   }
+  // The buffered layout, pinned to literal results (tests/layout_pins.hpp).
+  sm::testing::expect_layout_pinned(
+      design.layout, {{1360, 554, 271, 74, 74, 122, 8, 2, 0},
+                      145, 0, 529, 13638345291686258633ULL});
 }
 
 TEST_F(BufferingTest, BufferedOriginalLayoutRoutes) {

@@ -4,6 +4,7 @@
 #include "core/correction.hpp"
 #include "core/protect.hpp"
 #include "core/split.hpp"
+#include "layout_pins.hpp"
 #include "util/config_hash.hpp"
 #include "workloads/generator.hpp"
 
@@ -268,6 +269,38 @@ TEST_F(CoreFlowTest, BaselinesProduceValidLayouts) {
   const auto blocked =
       layout_routing_blockage(original, flow(), placed, 3, 8.0, 4, 3);
   EXPECT_EQ(blocked.routing.stats.failed_nets, 0u);
+}
+
+// The layouts that add terminals or minimum layers to the route tasks,
+// pinned to literal results (tests/layout_pins.hpp): naive lift, and the
+// baselines with BaselinesProduceValidLayouts' arguments.
+// BufferingTest.FlowIntegrationKeepsEquivalence pins the buffered protect.
+using sm::testing::expect_layout_pinned;
+
+TEST_F(CoreFlowTest, NaiveLiftPinned) {
+  const Netlist original = bench();
+  const auto design = protect(original, rand_opts(), flow());
+  const auto naive =
+      layout_naive_lift(original, design.ledger.protected_nets(), flow());
+  expect_layout_pinned(naive.layout,
+                       {{535, 494, 494, 494, 494, 609, 208, 190, 90},
+                        943, 0, 196, 3076726656746776568ULL});
+}
+
+TEST_F(CoreFlowTest, BaselinesPinned) {
+  const Netlist original = bench();
+  const auto placed = place_design(original, flow());
+  expect_layout_pinned(layout_pin_swapped(original, flow(), 10, 3).layout,
+                       {{509, 179, 71, 0, 0, 0, 0, 0, 0},
+                        76, 0, 196, 9192690299266882312ULL});
+  expect_layout_pinned(
+      layout_routing_perturbed(original, flow(), placed, 0.1, 5, 3),
+      {{486, 172, 99, 73, 61, 0, 0, 0, 0},
+       43, 0, 196, 10031245230596928577ULL});
+  expect_layout_pinned(
+      layout_routing_blockage(original, flow(), placed, 3, 8.0, 4, 3),
+      {{526, 408, 389, 383, 300, 73, 32, 6, 0},
+       211, 0, 196, 5422804269482508621ULL});
 }
 
 TEST_F(CoreFlowTest, BlockagesPushWiringUp) {
