@@ -34,12 +34,19 @@ int main(int argc, char** argv) {
     const auto design =
         core::protect_with_budget(nl, r, flow, original.ppa, 20.0, 3);
 
-    const auto rand8 = core::layout_placement_perturbed(
-        nl, flow, placed, core::PerturbStrategy::Random, 0.25, suite.seed,
-        0.2);
-    const auto gt1 = core::layout_placement_perturbed(
-        nl, flow, placed, core::PerturbStrategy::GType1, 0.25, suite.seed,
-        0.2);
+    // The [8] strategies at the sweep's recipe (Table 4's), so both
+    // figures perturb alike.
+    const auto perturbed = [&](core::PerturbStrategy strategy,
+                               sweep::Defense d) {
+      const auto recipe = sweep::baseline_recipe(d);
+      return core::layout_placement_perturbed(nl, flow, placed, strategy,
+                                              recipe.fraction, suite.seed,
+                                              recipe.radius_frac);
+    };
+    const auto rand8 =
+        perturbed(core::PerturbStrategy::Random, sweep::Defense::Random);
+    const auto gt1 =
+        perturbed(core::PerturbStrategy::GType1, sweep::Defense::GType1);
 
     const double d_area = util::pct_delta(original.ppa.die_area_um2,
                                           design.layout.ppa.die_area_um2);

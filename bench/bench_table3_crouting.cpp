@@ -1,9 +1,10 @@
-// Table 3: crouting attack [6] on superblue layouts split after the layer
-// below the correction pins: #vpins and average candidate-list size E[LS]
-// for bounding boxes of 15/30/45 um (plus match-in-list, which the attack
-// uses internally). Expected shape: the proposed layouts expose more vpins
-// and (usually) larger candidate lists than original/lifted ones — every
-// seemingly small E[LS] increase is a polynomial-scale solution-space blowup.
+// Table 3: crouting attack [6] on superblue layouts split after M3 (the
+// paper splits below the correction pins): #vpins and average
+// candidate-list size E[LS] for bounding boxes of 15/30/45 um (plus
+// match-in-list, which the attack uses internally). Expected shape: the
+// proposed layouts expose more vpins and (usually) larger candidate lists
+// than original/lifted ones — every seemingly small E[LS] increase is a
+// polynomial-scale solution-space blowup.
 #include "attack/crouting.hpp"
 #include "common.hpp"
 
@@ -17,7 +18,7 @@ int main(int argc, char** argv) {
   // The paper's million-gate originals expose vpins even at M7/M8 splits;
   // our scaled clones route unprotected nets entirely below M5, so an upper
   // split would leave the original layouts with zero vpins ("N/A"). Split
-  // after M4 instead: all three layouts expose vpins there, and the lifted/
+  // after M3 instead: all three layouts expose vpins there, and the lifted/
   // proposed nets (pins in M8) are always cut.
   const int split_layer = 3;
 

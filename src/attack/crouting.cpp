@@ -1,6 +1,7 @@
 #include "attack/crouting.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <map>
 
@@ -8,8 +9,14 @@ namespace sm::attack {
 
 using core::SplitView;
 
-CRoutingResult crouting_attack(const SplitView& view,
-                               const CRoutingOptions& opts) {
+namespace {
+
+/// Search-window half-widths in microns, one per reported column.
+constexpr std::array<double, 3> kBboxes = {15.0, 30.0, 45.0};
+
+}  // namespace
+
+CRoutingResult crouting_attack(const SplitView& view) {
   CRoutingResult result;
 
   struct P {
@@ -24,14 +31,14 @@ CRoutingResult crouting_attack(const SplitView& view,
   result.num_vpins = pins.size();
   if (pins.empty()) {
     result.failed = true;
-    result.candidate_list_size.assign(opts.bboxes.size(), 0.0);
-    result.match_in_list.assign(opts.bboxes.size(), 0.0);
+    result.candidate_list_size.assign(kBboxes.size(), 0.0);
+    result.match_in_list.assign(kBboxes.size(), 0.0);
     return result;
   }
 
   // Bucket grid sized by the largest bbox for neighborhood queries.
   const double bmax =
-      *std::max_element(opts.bboxes.begin(), opts.bboxes.end());
+      *std::max_element(kBboxes.begin(), kBboxes.end());
   const double cell = std::max(bmax, 1.0);
   auto bucket = [&](double x, double y) {
     return std::make_pair(static_cast<long>(std::floor(x / cell)),
@@ -41,16 +48,16 @@ CRoutingResult crouting_attack(const SplitView& view,
   for (std::size_t i = 0; i < pins.size(); ++i)
     grid[bucket(pins[i].x, pins[i].y)].push_back(i);
 
-  result.candidate_list_size.assign(opts.bboxes.size(), 0.0);
-  result.match_in_list.assign(opts.bboxes.size(), 0.0);
-  std::vector<std::size_t> has_partner(opts.bboxes.size(), 0);
-  std::vector<double> cand_sum(opts.bboxes.size(), 0.0);
+  result.candidate_list_size.assign(kBboxes.size(), 0.0);
+  result.match_in_list.assign(kBboxes.size(), 0.0);
+  std::vector<std::size_t> has_partner(kBboxes.size(), 0);
+  std::vector<double> cand_sum(kBboxes.size(), 0.0);
   std::size_t with_counterpart = 0;
 
   for (std::size_t i = 0; i < pins.size(); ++i) {
     const auto [bx, by] = bucket(pins[i].x, pins[i].y);
-    std::vector<std::size_t> cand(opts.bboxes.size(), 0);
-    std::vector<bool> matched(opts.bboxes.size(), false);
+    std::vector<std::size_t> cand(kBboxes.size(), 0);
+    std::vector<bool> matched(kBboxes.size(), false);
     bool counterpart_exists = false;
     for (long dy = -1; dy <= 1; ++dy) {
       for (long dx = -1; dx <= 1; ++dx) {
@@ -64,8 +71,8 @@ CRoutingResult crouting_attack(const SplitView& view,
           const double d = std::max(std::abs(pins[i].x - pins[j].x),
                                     std::abs(pins[i].y - pins[j].y));
           const bool same_net = pins[j].net == pins[i].net;
-          for (std::size_t b = 0; b < opts.bboxes.size(); ++b) {
-            if (d <= opts.bboxes[b]) {
+          for (std::size_t b = 0; b < kBboxes.size(); ++b) {
+            if (d <= kBboxes[b]) {
               ++cand[b];
               if (same_net) matched[b] = true;
             }
@@ -82,13 +89,13 @@ CRoutingResult crouting_attack(const SplitView& view,
           counterpart_exists = true;
     }
     if (counterpart_exists) ++with_counterpart;
-    for (std::size_t b = 0; b < opts.bboxes.size(); ++b) {
+    for (std::size_t b = 0; b < kBboxes.size(); ++b) {
       cand_sum[b] += static_cast<double>(cand[b]);
       if (counterpart_exists && matched[b]) ++has_partner[b];
     }
   }
 
-  for (std::size_t b = 0; b < opts.bboxes.size(); ++b) {
+  for (std::size_t b = 0; b < kBboxes.size(); ++b) {
     result.candidate_list_size[b] =
         cand_sum[b] / static_cast<double>(pins.size());
     result.match_in_list[b] =

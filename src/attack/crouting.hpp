@@ -2,8 +2,9 @@
 //
 // The attack does not recover a netlist; it confines the solution space.
 // For every vpin (via in the topmost FEOL layer) it enumerates candidate
-// partner vpins within a square search window. Reported metrics (paper
-// Table 3):
+// partner vpins within square search windows of half-width 15, 30 and
+// 45 um (the paper uses 15/30/45 gcell units; our gcells are 2.8 um, so
+// these are the same regime). Reported metrics (paper Table 3):
 //   #vpins          — size of the attack problem,
 //   E[LS]           — average candidate-list size per bounding-box size,
 //   match-in-list   — fraction of vpins whose true counterpart (another
@@ -16,12 +17,6 @@
 
 namespace sm::attack {
 
-struct CRoutingOptions {
-  /// Bounding-box half-widths in microns (paper uses 15/30/45 gcell units;
-  /// our gcells are 2.8 um, so these are the same regime).
-  std::vector<double> bboxes = {15.0, 30.0, 45.0};
-};
-
 struct CRoutingResult {
   std::size_t num_vpins = 0;
   std::vector<double> candidate_list_size;  ///< E[LS] per bbox
@@ -29,7 +24,6 @@ struct CRoutingResult {
   bool failed = false;  ///< no vpins -> nothing to attack ("N/A" rows)
 };
 
-CRoutingResult crouting_attack(const core::SplitView& view,
-                               const CRoutingOptions& opts = {});
+CRoutingResult crouting_attack(const core::SplitView& view);
 
 }  // namespace sm::attack

@@ -468,15 +468,22 @@ int cmd_materialize(const util::Args& args) {
               mat.result.rows.size(), grid.combinations());
   if (const int rc = export_result(args, mat.result); rc != 0) return rc;
   // The degradation report (stderr, cells sorted by config hash so the
-  // order of the grid flags never changes the bytes — CI diffs this). Torn
-  // lines are labelled too: a nonzero count is normal after a crashed run
-  // (the cell a tear would have held was never acknowledged) but worth
-  // eyes.
-  if (store.skipped > 0)
+  // order of the grid flags never changes the bytes — CI diffs this).
+  // Skipped lines are labelled too, torn and rejected apart: a torn line
+  // is normal after a crashed run (the cell a tear would have held was
+  // never acknowledged) but worth eyes; a rejected one is a whole line
+  // that is no valid record, so something foreign or corrupted wrote it.
+  if (const std::size_t torn = store.skipped - store.rejected; torn > 0)
     std::fprintf(stderr,
                  "materialize: %zu torn line(s) skipped (unacknowledged "
                  "crash tails)\n",
-                 store.skipped);
+                 torn);
+  if (store.rejected > 0)
+    std::fprintf(stderr,
+                 "materialize: %zu rejected line(s) skipped (whole JSON "
+                 "that fails a record check: foreign or corrupted "
+                 "records)\n",
+                 store.rejected);
   if (!mat.quarantined.empty()) {
     std::fprintf(stderr,
                  "materialize: %zu cells quarantined (workers died "

@@ -12,21 +12,6 @@ using netlist::CellLibrary;
 using netlist::NetId;
 using netlist::Netlist;
 
-namespace {
-
-void route_layout(const Netlist& nl, LayoutResult& layout,
-                  const FlowOptions& opts,
-                  const std::vector<int>& min_layer = {}) {
-  layout.tasks = route::make_tasks(nl, layout.placement, min_layer);
-  layout.num_net_tasks = layout.tasks.size();
-  route::Router router(tuned_router(opts, layout.placement.floorplan));
-  layout.routing = router.route(layout.tasks, layout.placement.floorplan.die,
-                                nl.library().metal());
-  layout.ppa = evaluate_ppa(nl, layout, opts);
-}
-
-}  // namespace
-
 LayoutResult layout_placement_perturbed(const Netlist& nl,
                                         const FlowOptions& opts,
                                         const PlacedDesign& placed,
@@ -81,7 +66,8 @@ LayoutResult layout_placement_perturbed(const Netlist& nl,
       }
     }
   }
-  route_layout(phys, out, opts);
+  route_step(phys, out, opts);
+  out.ppa = evaluate_ppa(phys, out, opts);
   return out;
 }
 
@@ -115,7 +101,8 @@ LayoutResult layout_routing_perturbed(const Netlist& nl,
   for (NetId n = 0; n < phys.num_nets(); ++n)
     if (!phys.net(n).sinks.empty() && rng.chance(fraction))
       min_layer[n] = elevate_to;
-  route_layout(phys, out, opts, min_layer);
+  route_step(phys, out, opts, min_layer);
+  out.ppa = evaluate_ppa(phys, out, opts);
   return out;
 }
 
@@ -137,7 +124,8 @@ LayoutResult layout_routing_blockage(const Netlist& nl,
     blocked.router.blockages.push_back(
         {util::Rect{{x, y}, {x + size_um, y + size_um}}, 1, max_layer});
   }
-  route_layout(phys, out, blocked, {});
+  route_step(phys, out, blocked);
+  out.ppa = evaluate_ppa(phys, out, blocked);
   return out;
 }
 

@@ -11,13 +11,6 @@ using netlist::Netlist;
 using util::Point;
 using util::Rect;
 
-std::vector<std::size_t> CorrectionPlan::cells_on_net(NetId net) const {
-  std::vector<std::size_t> out;
-  for (std::size_t i = 0; i < cells.size(); ++i)
-    if (cells[i].tapped_net == net) out.push_back(i);
-  return out;
-}
-
 namespace {
 
 Point cell_pos(const Netlist& nl, const place::Placement& pl, NetId net,

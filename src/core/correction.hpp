@@ -42,9 +42,6 @@ struct CorrectionPlan {
   std::vector<CorrectionCell> cells;  ///< 2 per ledger entry: [A0,B0,A1,B1,...]
   std::vector<PairWire> wires;        ///< 2 per ledger entry
   int pin_layer = 6;
-
-  /// Correction cells tapping a given erroneous net.
-  std::vector<std::size_t> cells_on_net(netlist::NetId net) const;
 };
 
 /// Plan correction cells for every ledger entry. Each cell starts at the

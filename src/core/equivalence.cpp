@@ -29,6 +29,9 @@ using sat::Lit;
 
 namespace {
 
+/// Conflicts the SAT miter may spend before the verdict is Unknown.
+constexpr std::int64_t kSatConflictBudget = 200000;
+
 /// Source nets in canonical order: primary inputs, then DFF outputs.
 std::vector<NetId> source_nets(const Netlist& nl) {
   std::vector<NetId> src;
@@ -313,7 +316,7 @@ EquivResult check_equivalence(const Netlist& a, const Netlist& b,
   }
   solver.add_clause(any_diff);
 
-  const sat::Result sr = solver.solve({}, opts.sat_conflict_budget);
+  const sat::Result sr = solver.solve({}, kSatConflictBudget);
   result.sat_conflicts = solver.conflicts();
   result.method = "sat";
   switch (sr) {

@@ -27,7 +27,6 @@ enum class EquivVerdict { Equivalent, Inequivalent, Unknown };
 
 struct EquivOptions {
   std::size_t sim_patterns = 4096;
-  std::int64_t sat_conflict_budget = 200000;
   std::uint64_t seed = 1;
 };
 

@@ -3,63 +3,58 @@
 #include "sim/simulator.hpp"
 #include "util/config_hash.hpp"
 
+#include <algorithm>
 #include <utility>
 
 namespace sm::core {
 
 using netlist::Netlist;
 
-route::RouterOptions tuned_router(const FlowOptions& opts,
-                                  const place::Floorplan& fp) {
-  route::RouterOptions r = opts.router;
-  r.gcell_um = tuned_gcell_um(opts, fp);
-  return r;
-}
-
 timing::PpaReport evaluate_ppa(const Netlist& nl, const LayoutResult& layout,
                                const FlowOptions& opts,
                                const std::vector<timing::NetExtra>& extra) {
-  timing::Sta sta(opts.op);
   const auto activity =
-      sim::toggle_rates(nl, opts.activity_patterns, opts.seed ^ 0xac7ULL);
-  return sta.analyze(nl, layout.placement, layout.routing, activity, extra);
+      sim::toggle_rates(nl, kActivityPatterns, opts.seed ^ 0xac7ULL);
+  return timing::Sta().analyze(nl, layout.placement, layout.routing, activity,
+                               extra);
 }
 
 std::string canonical_flow_json(const FlowOptions& opts) {
   // Keys are lexicographic within each object (the canonical-JSON
   // convention of util::config_hash); adding a field here intentionally
   // changes every hash — bump-and-recompute is the upgrade path, silently
-  // reusing stale cells is the failure mode this guards against.
+  // reusing stale cells is the failure mode this guards against. A setting
+  // that became a constant keeps its key and writes its constant.
   util::JsonWriter w;
   w.begin_object();
-  w.key("activity_patterns").value(opts.activity_patterns);
-  w.key("auto_gcell").value(opts.auto_gcell);
+  w.key("activity_patterns").value(kActivityPatterns);
+  w.key("auto_gcell").value(kAutoGcell);
   w.key("buffering").value(opts.buffering);
   w.key("buffering_opts").begin_object();
   w.key("hpwl_threshold_um").value(opts.buffering_opts.hpwl_threshold_um);
-  w.key("strength2_um").value(opts.buffering_opts.strength2_um);
-  w.key("strength4_um").value(opts.buffering_opts.strength4_um);
-  w.key("strength8_um").value(opts.buffering_opts.strength8_um);
+  w.key("strength2_um").value(place::kStrength2Um);
+  w.key("strength4_um").value(place::kStrength4Um);
+  w.key("strength8_um").value(place::kStrength8Um);
   w.end_object();
   w.key("lift_layer").value(opts.lift_layer);
   w.key("op").begin_object();
-  w.key("clock_period_ns").value(opts.op.clock_period_ns);
-  w.key("default_activity").value(opts.op.default_activity);
-  w.key("vdd").value(opts.op.vdd);
+  w.key("clock_period_ns").value(timing::kClockPeriodNs);
+  w.key("default_activity").value(timing::kDefaultActivity);
+  w.key("vdd").value(timing::kVdd);
   w.end_object();
   w.key("placer").begin_object();
-  w.key("aspect_ratio").value(opts.placer.aspect_ratio);
+  w.key("aspect_ratio").value(place::kAspectRatio);
   w.key("detailed_passes").value(opts.placer.detailed_passes);
-  w.key("fm_balance").value(opts.placer.fm_balance);
-  w.key("fm_passes").value(opts.placer.fm_passes);
-  w.key("force_alpha").value(opts.placer.force_alpha);
-  w.key("force_iterations").value(opts.placer.force_iterations);
-  w.key("leaf_cells").value(opts.placer.leaf_cells);
+  w.key("fm_balance").value(place::kFmBalance);
+  w.key("fm_passes").value(place::kFmPasses);
+  w.key("force_alpha").value(place::kForceAlpha);
+  w.key("force_iterations").value(place::kForceIterations);
+  w.key("leaf_cells").value(place::kLeafCells);
   w.key("seed").value(opts.placer.seed);
   w.key("target_utilization").value(opts.placer.target_utilization);
   w.end_object();
   w.key("router").begin_object();
-  w.key("bbox_margin").value(opts.router.bbox_margin);
+  w.key("bbox_margin").value(route::kBboxMargin);
   w.key("blockages").begin_array();
   for (const auto& b : opts.router.blockages) {
     w.begin_object();
@@ -73,8 +68,8 @@ std::string canonical_flow_json(const FlowOptions& opts) {
   }
   w.end_array();
   w.key("gcell_um").value(opts.router.gcell_um);
-  w.key("history_increment").value(opts.router.history_increment);
-  w.key("overflow_penalty").value(opts.router.overflow_penalty);
+  w.key("history_increment").value(route::kHistoryIncrement);
+  w.key("overflow_penalty").value(route::kOverflowPenalty);
   // A fixed literal: the router's former scheduler option, whose default
   // every stored hash covers. Keeping it keeps every config hash (and the
   // golden pins in tests/test_store*.cpp) unchanged.
@@ -82,27 +77,56 @@ std::string canonical_flow_json(const FlowOptions& opts) {
   w.key("passes").value(opts.router.passes);
   w.key("seed").value(opts.router.seed);
   w.key("tie_jitter").value(opts.router.tie_jitter);
-  w.key("via_cost").value(opts.router.via_cost);
+  w.key("via_cost").value(route::kViaCost);
   w.end_object();
   w.key("seed").value(opts.seed);
   w.end_object();
   return w.str();
 }
 
-PlacedDesign place_design(const Netlist& nl, const FlowOptions& opts) {
+PlacedDesign place_design(const Netlist& nl, const FlowOptions& opts,
+                          const std::vector<netlist::NetId>& skip) {
   PlacedDesign out;
   place::Placer placer(opts.placer);
   if (opts.buffering) {
     // Buffering mutates the netlist; size a copy and carry it along.
     Netlist sized = nl.clone();
     out.placement = placer.place(sized);
-    place::insert_buffers(sized, out.placement, opts.buffering_opts);
+    place::insert_buffers(sized, out.placement, opts.buffering_opts, skip);
     place::legalize_rows(sized, out.placement);
     out.sized = std::move(sized);
   } else {
     out.placement = placer.place(nl);
   }
   return out;
+}
+
+void route_step(const Netlist& nl, LayoutResult& layout,
+                const FlowOptions& opts, const std::vector<int>& min_layer,
+                const CorrectionPlan& plan) {
+  auto& tasks = layout.tasks;
+  tasks = route::make_tasks(nl, layout.placement, min_layer);
+  // A plan cell is one more terminal of the net it taps, after the net's
+  // sinks; cells on one net join in plan order.
+  std::vector<route::RouteTask*> task_of(nl.num_nets(), nullptr);
+  for (auto& t : tasks) task_of[t.net] = &t;
+  for (const auto& cell : plan.cells)
+    if (cell.tapped_net < task_of.size() && task_of[cell.tapped_net])
+      task_of[cell.tapped_net]->terminals.push_back(
+          {cell.pos, plan.pin_layer});
+  layout.num_net_tasks = tasks.size();
+  for (const auto& wire : plan.wires)  // BEOL-only: tagged with no net
+    tasks.push_back({netlist::kInvalidNet,
+                     {{plan.cells[wire.from_cell].pos, plan.pin_layer},
+                      {plan.cells[wire.to_cell].pos, plan.pin_layer}},
+                     plan.pin_layer});
+
+  const util::Rect& die = layout.placement.floorplan.die;
+  route::RouterOptions ropts = opts.router;
+  if (kAutoGcell)
+    ropts.gcell_um =
+        std::clamp(std::max(die.width(), die.height()) / 48.0, 1.0, 2.8);
+  layout.routing = route::Router(ropts).route(tasks, die, nl.library().metal());
 }
 
 LayoutResult route_design(const Netlist& nl, const PlacedDesign& placed,
@@ -115,12 +139,8 @@ LayoutResult route_design(const Netlist& nl, PlacedDesign&& placed,
   LayoutResult out;
   out.placement = std::move(placed.placement);
   out.sized_netlist = std::move(placed.sized);
-  const Netlist& phys = out.sized_netlist ? *out.sized_netlist : nl;
-  out.tasks = route::make_tasks(phys, out.placement);
-  out.num_net_tasks = out.tasks.size();
-  route::Router router(tuned_router(opts, out.placement.floorplan));
-  out.routing = router.route(out.tasks, out.placement.floorplan.die,
-                             phys.library().metal());
+  const Netlist& phys = out.physical(nl);
+  route_step(phys, out, opts);
   out.ppa = evaluate_ppa(phys, out, opts);
   return out;
 }

@@ -36,9 +36,24 @@ struct PlacedDesign {
   }
 };
 
-/// Stage 1: place `nl` (plus optional repeater insertion + re-legalization).
-/// Deterministic in (nl, opts).
-PlacedDesign place_design(const netlist::Netlist& nl, const FlowOptions& opts);
+/// Stage 1: place `nl` (plus optional repeater insertion + re-legalization,
+/// which leaves the nets in `skip` unbuffered). Deterministic in (nl, opts,
+/// skip).
+PlacedDesign place_design(const netlist::Netlist& nl, const FlowOptions& opts,
+                          const std::vector<netlist::NetId>& skip = {});
+
+/// The one route step of every layout: route_design, the baselines, naive
+/// lift and protect() all call it. Builds one task per net of `nl` on
+/// `layout.placement`, each at or above `min_layer[net]` (M1 when empty);
+/// adds each cell of `plan` as one more terminal of the net it taps, at the
+/// plan's pin layer; appends the plan's pair wires as BEOL-only tasks after
+/// the net tasks; and routes them on a gcell grid sized to the die
+/// (kAutoGcell). Fills the layout's tasks, num_net_tasks and routing; the
+/// PPA stays with the caller.
+void route_step(const netlist::Netlist& nl, LayoutResult& layout,
+                const FlowOptions& opts,
+                const std::vector<int>& min_layer = {},
+                const CorrectionPlan& plan = {});
 
 /// Stage 2: route a placed design and evaluate its PPA. Deterministic in
 /// (nl, placed, opts); RouterOptions::jobs never changes the result.
@@ -50,11 +65,6 @@ LayoutResult route_design(const netlist::Netlist& nl,
 LayoutResult route_design(const netlist::Netlist& nl, PlacedDesign&& placed,
                           const FlowOptions& opts);
 
-/// Router options tuned to a floorplan (the auto-gcell sizing rule).
-/// Shared by every stage that routes, including protect().
-route::RouterOptions tuned_router(const FlowOptions& opts,
-                                  const place::Floorplan& fp);
-
 /// Linear-model STA + activity-based power of a routed layout.
 timing::PpaReport evaluate_ppa(const netlist::Netlist& nl,
                                const LayoutResult& layout,
@@ -65,9 +75,10 @@ timing::PpaReport evaluate_ppa(const netlist::Netlist& nl,
 /// the flow half of a sweep cell's config hash (util::config_hash over the
 /// cell recipe, see sweep/store.hpp). Covers the placer, the router, the
 /// lift layer, the operating point, the activity/seed inputs, and the
-/// buffering knobs. Deliberately EXCLUDED: `router.jobs`, which the router
-/// ignores, and `buffering_opts.skip`, per-call runtime state (the
-/// protected-net list) fully determined by fields already hashed.
+/// buffering knobs. The settings that became constants (kLeafCells,
+/// kViaCost, kVdd, kActivityPatterns, ...) keep their keys and hash as
+/// their constants' values, so editing a constant changes every hash.
+/// Deliberately EXCLUDED: `router.jobs`, which the router ignores.
 std::string canonical_flow_json(const FlowOptions& opts);
 
 /// Memoizes the defense-independent stage products of benchmark instances:

@@ -13,14 +13,6 @@ namespace sm::core {
 
 using netlist::NetId;
 using netlist::Netlist;
-using route::RouteTask;
-using route::Terminal;
-
-double tuned_gcell_um(const FlowOptions& opts, const place::Floorplan& fp) {
-  if (!opts.auto_gcell) return opts.router.gcell_um;
-  const double dim = std::max(fp.die.width(), fp.die.height());
-  return std::clamp(dim / 48.0, 1.0, 2.8);
-}
 
 LayoutResult layout_original(const Netlist& nl, const FlowOptions& opts) {
   // The unprotected reference is exactly the staged pipeline, stage by
@@ -37,19 +29,10 @@ NaiveLiftDesign layout_naive_lift(const Netlist& nl,
   out.plan =
       plan_naive_lift(nl, nets, out.layout.placement, opts.lift_layer);
 
-  // Lift constraints per net.
+  // Lift each net, through its lift cell (pin in M6/M8).
   std::vector<int> min_layer(nl.num_nets(), 1);
   for (const NetId n : nets) min_layer[n] = opts.lift_layer;
-  out.layout.tasks = route::make_tasks(nl, out.layout.placement, min_layer);
-  // Add the lift cell as an extra terminal of its net (pin in M6/M8).
-  for (auto& task : out.layout.tasks) {
-    for (const auto ci : out.plan.cells_on_net(task.net))
-      task.terminals.push_back({out.plan.cells[ci].pos, opts.lift_layer});
-  }
-  out.layout.num_net_tasks = out.layout.tasks.size();
-  route::Router router(tuned_router(opts, out.layout.placement.floorplan));
-  out.layout.routing = router.route(
-      out.layout.tasks, out.layout.placement.floorplan.die, nl.library().metal());
+  route_step(nl, out.layout, opts, min_layer, out.plan);
 
   // Lift cells load their nets like a BUF_X2 input (paper: characteristics
   // borrowed from BUF_X2) and add one cell traversal of delay.
@@ -79,48 +62,24 @@ ProtectedDesign protect(const Netlist& original,
   // (2) Place the erroneous netlist. Swapped drivers/sinks are "don't
   // touch" in the paper's Innovus flow, which maps to: the placer simply
   // places what it is given, no logic restructuring exists in this model.
-  place::Placer placer(opts.placer);
-  out.layout.placement = placer.place(out.erroneous);
-  if (opts.buffering) {
-    // Drive-strength fixing on the *erroneous* netlist: the repeater sizes
-    // the FEOL reveals now describe wrong connectivity (paper Sec. 3).
-    // Swapped drivers/sinks are "don't touch": protected nets are skipped.
-    place::BufferingOptions bopts = opts.buffering_opts;
-    bopts.skip = out.ledger.protected_nets();
-    place::insert_buffers(out.erroneous, out.layout.placement, bopts);
-    place::legalize_rows(out.erroneous, out.layout.placement);
-  }
+  // Drive-strength fixing, when on, sizes the *erroneous* netlist: the
+  // repeater sizes the FEOL reveals now describe wrong connectivity (paper
+  // Sec. 3). It skips the protected nets, whose connectivity the defense
+  // owns.
+  const auto protected_nets = out.ledger.protected_nets();
+  PlacedDesign placed = place_design(out.erroneous, opts, protected_nets);
+  out.layout.placement = std::move(placed.placement);
+  if (placed.sized) out.erroneous = std::move(*placed.sized);
 
-  // (3) Embed correction cells and prepare lifting.
+  // (3) Embed correction cells and lift the protected nets.
   out.plan = plan_corrections(out.erroneous, out.ledger, out.layout.placement,
                               opts.lift_layer);
-  const auto protected_nets = out.ledger.protected_nets();
   std::vector<int> min_layer(out.erroneous.num_nets(), 1);
   for (const NetId n : protected_nets) min_layer[n] = opts.lift_layer;
 
   // (4) Route: erroneous nets (through their correction cells, lifted) plus
   // the BEOL restoration wires between correction-cell pairs.
-  out.layout.tasks = route::make_tasks(out.erroneous, out.layout.placement,
-                                       min_layer);
-  for (auto& task : out.layout.tasks) {
-    if (task.min_layer != opts.lift_layer) continue;
-    for (const auto ci : out.plan.cells_on_net(task.net))
-      task.terminals.push_back({out.plan.cells[ci].pos, opts.lift_layer});
-  }
-  out.layout.num_net_tasks = out.layout.tasks.size();
-  for (const auto& wire : out.plan.wires) {
-    RouteTask t;
-    t.net = netlist::kInvalidNet;  // BEOL-only, not a netlist net
-    t.min_layer = opts.lift_layer;
-    t.terminals = {
-        Terminal{out.plan.cells[wire.from_cell].pos, opts.lift_layer},
-        Terminal{out.plan.cells[wire.to_cell].pos, opts.lift_layer}};
-    out.layout.tasks.push_back(std::move(t));
-  }
-  route::Router router(tuned_router(opts, out.layout.placement.floorplan));
-  out.layout.routing =
-      router.route(out.layout.tasks, out.layout.placement.floorplan.die,
-                   out.erroneous.library().metal());
+  route_step(out.erroneous, out.layout, opts, min_layer, out.plan);
 
   // (5) Restore at the netlist level and check equivalence (the physical
   // restoration is the pair wires routed above; the netlist-level check is
@@ -182,12 +141,11 @@ ProtectedDesign protect(const Netlist& original,
     account(entry.net_a, entry.net_b, 2 * e);
     account(entry.net_b, entry.net_a, 2 * e + 1);
   }
-  timing::Sta sta(opts.op);
   const auto activity =
-      sim::toggle_rates(restored, opts.activity_patterns, opts.seed ^ 0xac7ULL);
-  out.layout.ppa = sta.analyze_with(restored, out.layout.placement, par,
-                                    out.layout.routing.stats.total_wire_um(),
-                                    activity, extra);
+      sim::toggle_rates(restored, kActivityPatterns, opts.seed ^ 0xac7ULL);
+  out.layout.ppa = timing::Sta().analyze_with(
+      restored, out.layout.placement, par,
+      out.layout.routing.stats.total_wire_um(), activity, extra);
   return out;
 }
 

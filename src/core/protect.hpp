@@ -28,17 +28,19 @@
 
 namespace sm::core {
 
+/// Stimuli behind the power activities (sim::toggle_rates).
+inline constexpr std::size_t kActivityPatterns = 4096;
+/// The routing gcell follows the die size (small ISCAS dies need a fine
+/// grid or vpin positions quantize away the proximity signal): the die's
+/// longer side over 48, clamped to [1, 2.8] um. False would route on
+/// router.gcell_um verbatim.
+inline constexpr bool kAutoGcell = true;
+
 struct FlowOptions {
   place::PlacerOptions placer;
   route::RouterOptions router;
   int lift_layer = 6;  ///< correction-cell pin layer (M6 ISCAS, M8 superblue)
-  netlist::OperatingPoint op;
-  std::size_t activity_patterns = 4096;  ///< stimuli for power activities
   std::uint64_t seed = 1;
-  /// Adapt the routing gcell to the die size (small ISCAS dies need a fine
-  /// grid or vpin positions quantize away the proximity signal). Set false
-  /// to honor router.gcell_um verbatim.
-  bool auto_gcell = true;
   /// Post-placement repeater insertion (drive-strength fixing). On the
   /// erroneous netlist this bakes misleading buffer strengths into the FEOL
   /// (paper Sec. 3's BUFX8 argument). Off by default so cell counts stay
@@ -46,10 +48,6 @@ struct FlowOptions {
   bool buffering = false;
   place::BufferingOptions buffering_opts;
 };
-
-/// gcell sizing rule used when auto_gcell is on: the die's longer side
-/// over 48, clamped to [1, 2.8] um.
-double tuned_gcell_um(const FlowOptions& opts, const place::Floorplan& fp);
 
 /// A placed-and-routed design with its PPA.
 struct LayoutResult {
@@ -74,6 +72,8 @@ LayoutResult layout_original(const netlist::Netlist& nl,
 
 /// Naive-lifting baseline: same lifting mechanics over `nets` (typically the
 /// protected nets of a matching protect() run), no erroneous connections.
+/// Places with place::Placer alone, so FlowOptions::buffering does not
+/// apply; no caller buffers a naive-lift layout.
 struct NaiveLiftDesign {
   LayoutResult layout;
   CorrectionPlan plan;

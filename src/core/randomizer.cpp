@@ -16,6 +16,13 @@ using netlist::NetId;
 using netlist::Netlist;
 using netlist::Sink;
 
+namespace {
+
+/// A swap gives up after this many rejected candidate pairs.
+constexpr int kMaxAttemptsFactor = 200;
+
+}  // namespace
+
 std::vector<NetId> SwapLedger::protected_nets() const {
   std::vector<NetId> nets;
   for (const auto& e : entries) {
@@ -78,7 +85,7 @@ RandomizeResult randomize(const Netlist& original,
     const auto cands = collect_candidates();
     if (cands.size() < 2) return false;
     const std::size_t max_attempts =
-        static_cast<std::size_t>(opts.max_attempts_factor);
+        static_cast<std::size_t>(kMaxAttemptsFactor);
     for (std::size_t attempt = 0; attempt < max_attempts; ++attempt) {
       const auto& a = cands[static_cast<std::size_t>(rng.below(cands.size()))];
       const auto& b = cands[static_cast<std::size_t>(rng.below(cands.size()))];

@@ -54,7 +54,6 @@ struct RandomizeOptions {
   std::size_t batch = 4;           ///< swaps between OER evaluations
   std::size_t check_patterns = 4096;
   std::uint64_t seed = 1;
-  int max_attempts_factor = 200;   ///< give up after this many rejects/swap
 };
 
 struct RandomizeResult {

@@ -46,12 +46,4 @@ class MetalStack {
   std::array<MetalLayer, kNumLayers> layers_;
 };
 
-/// Operating point used for the conservative PPA analysis (paper: slow
-/// corner, 0.95 V).
-struct OperatingPoint {
-  double vdd = 0.95;          ///< volts
-  double clock_period_ns = 2.0;
-  double default_activity = 0.1;  ///< toggle probability per cycle fallback
-};
-
 }  // namespace sm::netlist

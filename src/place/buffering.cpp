@@ -10,25 +10,26 @@ using netlist::Netlist;
 using netlist::Sink;
 
 BufferingResult insert_buffers(Netlist& nl, Placement& pl,
-                               const BufferingOptions& opts) {
+                               const BufferingOptions& opts,
+                               const std::vector<NetId>& skip) {
   BufferingResult result;
   const auto& lib = nl.library();
-  std::vector<bool> skip(nl.num_nets(), false);
-  for (const NetId n : opts.skip)
-    if (n < skip.size()) skip[n] = true;
+  std::vector<bool> skipped(nl.num_nets(), false);
+  for (const NetId n : skip)
+    if (n < skipped.size()) skipped[n] = true;
 
   // Snapshot the net count: nets created by inserted buffers are final.
   const NetId original_nets = static_cast<NetId>(nl.num_nets());
   for (NetId n = 0; n < original_nets; ++n) {
-    if (skip[n]) continue;
+    if (skipped[n]) continue;
     const auto& net = nl.net(n);
     if (net.sinks.empty()) continue;
     const double hpwl = net_hpwl(nl, pl, n);
     if (hpwl < opts.hpwl_threshold_um) continue;
 
     int strength = 2;
-    if (hpwl >= opts.strength8_um) strength = 8;
-    else if (hpwl >= opts.strength4_um) strength = 4;
+    if (hpwl >= kStrength8Um) strength = 8;
+    else if (hpwl >= kStrength4Um) strength = 4;
 
     const util::Point center = net_bbox(nl, pl, n).center();
     const CellId buf = nl.add_cell(

@@ -22,16 +22,15 @@
 
 namespace sm::place {
 
+/// Strength thresholds: HPWL above k-th entry selects strength 2/4/8.
+inline constexpr double kStrength2Um = 25.0;
+inline constexpr double kStrength4Um = 50.0;
+inline constexpr double kStrength8Um = 100.0;
+
 struct BufferingOptions {
   /// Nets with HPWL above this (in units of average row height x this
   /// factor... plainly: microns) get a repeater.
   double hpwl_threshold_um = 25.0;
-  /// Strength thresholds: HPWL above k-th entry selects strength 2/4/8.
-  double strength2_um = 25.0;
-  double strength4_um = 50.0;
-  double strength8_um = 100.0;
-  /// Nets to skip (e.g. protected nets whose connectivity the defense owns).
-  std::vector<netlist::NetId> skip;
 };
 
 struct BufferingResult {
@@ -41,8 +40,10 @@ struct BufferingResult {
 
 /// Insert repeaters into `nl` based on placement `pl`; new cells are placed
 /// at their net's bounding-box center (caller re-legalizes via Placer or
-/// legalize_rows). Extends pl.pos for the new cells.
+/// legalize_rows). Extends pl.pos for the new cells. Nets in `skip` keep
+/// their connectivity (e.g. protected nets the defense owns).
 BufferingResult insert_buffers(netlist::Netlist& nl, Placement& pl,
-                               const BufferingOptions& opts = {});
+                               const BufferingOptions& opts = {},
+                               const std::vector<netlist::NetId>& skip = {});
 
 }  // namespace sm::place

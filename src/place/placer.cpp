@@ -24,9 +24,9 @@ Floorplan Placer::make_floorplan(const Netlist& nl) const {
   const double core_area = cell_area / opts_.target_utilization;
   Floorplan fp;
   fp.row_height_um = nl.library().row_height_um();
-  const double width = std::sqrt(core_area / opts_.aspect_ratio);
+  const double width = std::sqrt(core_area / kAspectRatio);
   fp.num_rows = std::max(
-      1, static_cast<int>(std::ceil(width * opts_.aspect_ratio / fp.row_height_um)));
+      1, static_cast<int>(std::ceil(width * kAspectRatio / fp.row_height_um)));
   fp.die = Rect{{0.0, 0.0},
                 {width, static_cast<double>(fp.num_rows) * fp.row_height_um}};
   return fp;
@@ -90,7 +90,7 @@ Placement Placer::place(const Netlist& nl) const {
     const std::size_t n = region.cells.size();
     if (n == 0) continue;
 
-    if (n <= static_cast<std::size_t>(opts_.leaf_cells)) {
+    if (n <= static_cast<std::size_t>(kLeafCells)) {
       // Spread leaf cells on a small grid inside the region.
       const int cols = std::max(1, static_cast<int>(std::ceil(std::sqrt(
                                     static_cast<double>(n)))));
@@ -110,9 +110,9 @@ Placement Placer::place(const Netlist& nl) const {
 
     // Build the FM problem over nets touching this region.
     FmProblem prob;
-    prob.balance_tolerance = opts_.fm_balance;
+    prob.balance_tolerance = kFmBalance;
     prob.seed = region.seed;
-    prob.max_passes = opts_.fm_passes;
+    prob.max_passes = kFmPasses;
     prob.weight.resize(n);
     std::unordered_map<CellId, std::uint32_t> index;
     index.reserve(n * 2);
@@ -185,7 +185,7 @@ Placement Placer::place(const Netlist& nl) const {
   }
 
   legalize_rows(nl, pl);
-  force_refine(nl, pl, opts_.force_iterations, opts_.force_alpha);
+  force_refine(nl, pl, kForceIterations, kForceAlpha);
   detailed_place(nl, pl, opts_.detailed_passes, opts_.seed ^ 0xd37aULL);
   legalize_rows(nl, pl);
   return pl;

@@ -15,21 +15,22 @@
 
 namespace sm::place {
 
+inline constexpr int kLeafCells = 10;  ///< stop bisection at this region size
+inline constexpr int kFmPasses = 6;
+inline constexpr double kFmBalance = 0.1;
+/// Force-directed refinement iterations between bisection and detailed
+/// placement. This gives the placer analytic-placement behaviour: a cell
+/// is pulled toward the centroid of its connected pins, so one long
+/// (e.g. erroneous) net drags its endpoints measurably — the effect the
+/// paper's Table 1 relies on. Iterations that worsen HPWL are rolled back.
+inline constexpr int kForceIterations = 3;
+inline constexpr double kForceAlpha = 0.5;  ///< pull toward the centroid
+inline constexpr double kAspectRatio = 1.0;  ///< die height / width
+
 struct PlacerOptions {
   double target_utilization = 0.7;  ///< cell area / core area
   std::uint64_t seed = 1;
-  int leaf_cells = 10;          ///< stop bisection at this region size
-  int fm_passes = 6;
-  double fm_balance = 0.1;
   int detailed_passes = 2;      ///< greedy swap refinement sweeps
-  /// Force-directed refinement iterations between bisection and detailed
-  /// placement. This gives the placer analytic-placement behaviour: a cell
-  /// is pulled toward the centroid of its connected pins, so one long
-  /// (e.g. erroneous) net drags its endpoints measurably — the effect the
-  /// paper's Table 1 relies on. Iterations that worsen HPWL are rolled back.
-  int force_iterations = 3;
-  double force_alpha = 0.5;     ///< pull strength toward the centroid
-  double aspect_ratio = 1.0;    ///< die height / width
 };
 
 class Placer {

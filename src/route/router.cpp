@@ -80,8 +80,7 @@ class CongestionState {
  public:
   CongestionState(const RouteGrid& grid, const MetalStack& stack,
                   const RouterOptions& opts)
-      : opts_(&opts),
-        nxy_(static_cast<std::size_t>(grid.nx()) *
+      : nxy_(static_cast<std::size_t>(grid.nx()) *
              static_cast<std::size_t>(grid.ny())) {
     const std::size_t n = grid.num_nodes();
     usage_.assign(n, 0);
@@ -133,7 +132,7 @@ class CongestionState {
     for_each_node([&](std::size_t i, int cap) {
       const int over = usage_[i] - cap;
       if (over > 0)
-        history_[i] += static_cast<float>(opts_->history_increment * over);
+        history_[i] += static_cast<float>(kHistoryIncrement * over);
     });
     price_all();
   }
@@ -152,7 +151,7 @@ class CongestionState {
   double price(std::size_t idx, int cap) const {
     const int over = usage_[idx] + 1 - cap;
     double c = 1.0 + static_cast<double>(history_[idx]);
-    if (over > 0) c += opts_->overflow_penalty * pressure_ * over;
+    if (over > 0) c += kOverflowPenalty * pressure_ * over;
     return c;
   }
 
@@ -167,7 +166,6 @@ class CongestionState {
       for (std::size_t i = (l - 1) * nxy_; i < l * nxy_; ++i) f(i, cap_[l]);
   }
 
-  const RouterOptions* opts_;
   std::size_t nxy_;  ///< nodes per layer
   std::vector<std::int32_t> usage_;
   std::vector<float> history_;
@@ -192,7 +190,7 @@ struct SearchWork {
 /// after its searches.
 ///
 /// Cost model: a lateral step costs the entered node's node_cost (>= 1), a
-/// via step via_cost plus that (>= via_cost + 1), plus the net's tie jitter.
+/// via step kViaCost plus that (>= kViaCost + 1), plus the net's tie jitter.
 /// G-scores are doubles: float rounding at die-scale path costs exceeds the
 /// jitter, so near-ties would fall to expansion order and the route would
 /// depend on the heuristic. In double the jittered cheapest path is unique
@@ -207,7 +205,7 @@ class Searcher {
   Searcher(const RouteGrid& grid, const MetalStack& stack,
            const RouterOptions& opts, const CongestionState& cong)
       : grid_(&grid), opts_(&opts), cong_(&cong),
-        via_lb_(opts.via_cost + 1.0),
+        via_lb_(kViaCost + 1.0),
         nx_(static_cast<std::size_t>(grid.nx())),
         nxy_(nx_ * static_cast<std::size_t>(grid.ny())),
         layers_(grid.layers()) {
@@ -350,7 +348,7 @@ class Searcher {
         if (y < wy1_ && !cong_->blocked(node + nx_))
           relax(node + nx_, g, x, y + 1, l);
       }
-      const double via = g + opts_->via_cost;
+      const double via = g + kViaCost;
       if (l > lowest) relax(node - nxy_, via, x, y, l - 1);
       if (l < layers_) relax(node + nxy_, via, x, y, l + 1);
     }
@@ -392,13 +390,13 @@ class Searcher {
   }
 
   /// Lower bound on the cost from (x, y, layer) to the nearest target:
-  ///   dx + dy + (via_cost + 1) * max(layer_gap, turn),
+  ///   dx + dy + (kViaCost + 1) * max(layer_gap, turn),
   /// with dx, dy, layer_gap the distances to the targets' bounding box and
   /// layer span, and turn = 1 when the layer cannot move along the
   /// remaining offset (a horizontal layer with dy > 0, a vertical one with
   /// dx > 0). Admissible: reaching any target takes >= dx + dy lateral
   /// steps (cost >= 1 each) and >= max(layer_gap, turn) vias (cost >=
-  /// via_cost + 1 each). Consistent: a lateral step changes only dx or dy,
+  /// kViaCost + 1 each). Consistent: a lateral step changes only dx or dy,
   /// by at most 1; a via step changes max(layer_gap, turn) by at most 1.
   double heuristic(int x, int y, int layer) const {
     const int dx = std::max({0, tminx_ - x, x - tmaxx_});
@@ -579,23 +577,24 @@ RoutingResult Router::route(const std::vector<RouteTask>& tasks,
   // Fixed net order: short nets first (they have the least flexibility).
   // This is both the greedy-keep order and the routing order, so the whole
   // negotiation is a pure function of (tasks, options).
+  // Each task's span (its terminal bbox's half perimeter) is computed once;
+  // the sort then compares the stored spans.
   std::vector<std::size_t> order(tasks.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  auto task_span = [&](const RouteTask& t) {
-    util::Rect box = util::Rect::around(t.terminals.empty() ? Point{}
-                                                            : t.terminals[0].pos);
-    for (const auto& term : t.terminals) box.expand(term.pos);
-    return box.half_perimeter();
-  };
+  std::vector<double> span(tasks.size());
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    order[i] = i;
+    const auto& terms = tasks[i].terminals;
+    util::Rect box = util::Rect::around(terms.empty() ? Point{} : terms[0].pos);
+    for (const auto& term : terms) box.expand(term.pos);
+    span[i] = box.half_perimeter();
+  }
   std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return task_span(tasks[a]) < task_span(tasks[b]);
+    return span[a] < span[b];
   });
 
-  // Per-net search windows: the terminal bbox inflated by bbox_margin, a
+  // Per-net search windows: the terminal bbox inflated by kBboxMargin, a
   // property of the problem, computed once up front.
   const util::GridRect grid_rect{0, 0, grid.nx() - 1, grid.ny() - 1};
-  const std::int32_t margin =
-      static_cast<std::int32_t>(std::max(0, opts_.bbox_margin));
   std::vector<util::GridRect> window(tasks.size());
   for (std::size_t i = 0; i < tasks.size(); ++i) {
     util::GridRect b;
@@ -604,7 +603,7 @@ RoutingResult Router::route(const std::vector<RouteTask>& tasks,
       b.expand(g.x, g.y);
     }
     if (b.empty()) b = util::GridRect::around(0, 0);
-    window[i] = b.inflated(margin).clamped(grid_rect);
+    window[i] = b.inflated(kBboxMargin).clamped(grid_rect);
   }
 
   // Route one net inside `w` and commit its usage at once, so every later

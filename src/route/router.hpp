@@ -17,12 +17,13 @@
 // Negotiation runs in passes on one thread. Every pass after the first
 // keeps nets greedily up to capacity and rips the rest, in one fixed net
 // order (short spans first); the ripped nets then route one by one in that
-// same order, each A* clipped to its terminal bbox inflated by bbox_margin
-// and committed at once, so later nets see its usage. Nets that fail inside
-// their window re-route on the full grid after the pass. Each net draws its
-// cost-tie jitter from its own util::task_seed stream. The fixed order makes
-// the routes a pure function of (tasks, options); tests/test_route.cpp
-// holds the determinism and the full-grid retry as regressions.
+// same order, each A* clipped to its terminal bbox inflated by kBboxMargin
+// gcells and committed at once, so later nets see its usage. Nets that fail
+// inside their window re-route on the full grid after the pass. Each net
+// draws its cost-tie jitter from its own util::task_seed stream. The fixed
+// order makes the routes a pure function of (tasks, options);
+// tests/test_route.cpp holds the determinism and the full-grid retry as
+// regressions. The net order sorts task indices by spans computed once.
 //
 // Each A* search is guided by a consistent lower bound that also prices
 // the vias the remaining offset needs, and keeps its path costs in double
@@ -122,12 +123,19 @@ struct Blockage {
   int max_layer = 10;
 };
 
+/// Cost of one layer crossing (vs 1 per gcell).
+inline constexpr double kViaCost = 3.5;
+/// Present-overuse cost per net over capacity, times the pass's pressure.
+inline constexpr double kOverflowPenalty = 4.0;
+/// History cost added per net over capacity after each pass.
+inline constexpr double kHistoryIncrement = 1.5;
+/// Gcells added on every side of a net's terminal bbox to form its clipped
+/// search window (detour headroom). Affects routes.
+inline constexpr int kBboxMargin = 8;
+
 struct RouterOptions {
   double gcell_um = 2.8;
   int passes = 3;            ///< rip-up & re-route passes (>= 1)
-  double via_cost = 3.5;     ///< cost of one layer crossing (vs 1 per gcell)
-  double overflow_penalty = 4.0;
-  double history_increment = 1.5;
   /// Per-net deterministic tie-break noise added to each node cost, drawn
   /// from util::task_seed(seed, task index). Decorrelates otherwise
   /// identical nets (they stop stacking on one track). The per-node
@@ -141,9 +149,6 @@ struct RouterOptions {
   /// perfbench/driver.cpp still writes it; it goes at the next change to
   /// the benchmark.
   std::size_t jobs = 1;
-  /// Gcells added on every side of a net's terminal bbox to form its
-  /// clipped search window (detour headroom). Affects routes.
-  int bbox_margin = 8;
   std::vector<Blockage> blockages;
 };
 

@@ -190,10 +190,10 @@ int int_in(const util::json::Value& v, const char* field, int lo, int hi) {
   return static_cast<int>(x);
 }
 
-}  // namespace
-
-StoreRecord parse_store_line(const std::string& line) {
-  const auto v = util::json::parse(line);
+/// The record a parsed line holds. Throws std::invalid_argument when the
+/// JSON is no valid record: not an object, a missing or mistyped field, a
+/// value out of range, or an unknown status.
+StoreRecord record_from(const util::json::Value& v) {
   if (!v.is_object())
     throw std::invalid_argument("store: record line is not an object");
   StoreRecord rec;
@@ -234,6 +234,12 @@ StoreRecord parse_store_line(const std::string& line) {
   rec.patterns = static_cast<std::size_t>(v.at("patterns").as_u64());
   rec.scale = v.at("scale").as_double();
   return rec;
+}
+
+}  // namespace
+
+StoreRecord parse_store_line(const std::string& line) {
+  return record_from(util::json::parse(line));
 }
 
 StoreWriter::StoreWriter(std::string path) : path_(std::move(path)) {
@@ -314,14 +320,24 @@ namespace {
 /// landed (new key or overwrite), false for unparsable lines.
 bool merge_store_line(const std::string& line, StoreContents& out) {
   ++out.lines;
-  StoreRecord rec;
+  util::json::Value v;
   try {
-    rec = parse_store_line(line);
+    v = util::json::parse(line);
   } catch (const std::invalid_argument&) {
     // A crash can tear the final line of a log (and a merged store
     // inherits such tails mid-file); the record it would have held
     // was never acknowledged, so skipping is the correct recovery.
     ++out.skipped;
+    return false;
+  }
+  StoreRecord rec;
+  try {
+    rec = record_from(v);
+  } catch (const std::invalid_argument&) {
+    // Whole JSON that fails a record check is no crash tail but a foreign
+    // or corrupted record: skipped all the same, and counted apart.
+    ++out.skipped;
+    ++out.rejected;
     return false;
   }
   const auto it = out.records.find(rec.config_hash);

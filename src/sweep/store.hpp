@@ -111,7 +111,7 @@ struct StoreRecord {
 /// Serialize to one JSONL line (no trailing newline) / parse one line.
 /// Doubles round-trip exactly (util::format_double), so a materialized row
 /// is bit-identical to the computed one. parse throws std::invalid_argument
-/// on torn or malformed lines.
+/// on torn or malformed lines, and on whole JSON that is no valid record.
 std::string to_store_line(const StoreRecord& rec);
 StoreRecord parse_store_line(const std::string& line);
 
@@ -152,7 +152,11 @@ class StoreWriter {
 struct StoreContents {
   std::map<std::string, StoreRecord> records;
   std::size_t lines = 0;       ///< non-empty lines seen
-  std::size_t skipped = 0;     ///< unparsable lines (torn crash tails)
+  std::size_t skipped = 0;     ///< unusable lines, torn or rejected
+  /// Of `skipped`, the lines that are whole JSON but fail a record check (a
+  /// missing or mistyped field, a value out of range, an unknown status):
+  /// foreign or corrupted records. The rest are torn crash tails.
+  std::size_t rejected = 0;
   std::size_t duplicates = 0;  ///< keys overwritten by a later record
 };
 

@@ -18,6 +18,9 @@
 namespace sm::sweep {
 namespace {
 
+/// Seed of the retry-jitter stream (backoff_delay_ms).
+constexpr std::uint64_t kBackoffSeed = 1;
+
 double now_ms() {
   using clock = std::chrono::steady_clock;
   return std::chrono::duration<double, std::milli>(
@@ -80,7 +83,7 @@ StoreRecord quarantine_record(const Grid& grid, const Options& opts,
 }  // namespace
 
 double backoff_delay_ms(std::size_t attempt, double base_ms,
-                        std::uint64_t seed, std::uint64_t salt) {
+                        std::uint64_t salt) {
   if (attempt == 0) return 0;
   // Exponential, capped well below the watchdog scale: a backoff that
   // outgrows the work it gates is just a slower form of stalling.
@@ -88,10 +91,10 @@ double backoff_delay_ms(std::size_t attempt, double base_ms,
   const double expo = std::min(base_ms * static_cast<double>(1ull << shift),
                                60000.0);
   // Jitter in [1, 1.5): a fleet of workers killed by the same fault must
-  // not thunder back in lockstep. Deterministic in (seed, salt, attempt)
-  // so a retry schedule can be asserted in tests.
+  // not thunder back in lockstep. Deterministic in (salt, attempt) so a
+  // retry schedule can be asserted in tests.
   const std::uint64_t draw =
-      util::task_seed(seed, salt * 0x100000001b3ull + attempt);
+      util::task_seed(kBackoffSeed, salt * 0x100000001b3ull + attempt);
   const double unit = static_cast<double>(draw >> 11) /
                       static_cast<double>(1ull << 53);
   return expo * (1.0 + 0.5 * unit);
@@ -239,7 +242,7 @@ ServeReport serve(const Grid& grid, const ServeOptions& opts) {
     if (!ts.missing.empty())
       ts.not_before_ms =
           now_ms() + backoff_delay_ms(a, opts.backoff_base_ms,
-                                      opts.backoff_seed, ts.unit.task_index);
+                                      ts.unit.task_index);
   };
 
   while (true) {

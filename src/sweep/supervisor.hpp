@@ -86,7 +86,6 @@ struct ServeOptions {
   double cell_timeout_s = 300; ///< watchdog budget per missing cell
   std::size_t max_retries = 3; ///< worker deaths before a cell is quarantined
   double backoff_base_ms = 100;  ///< first retry delay; doubles per attempt
-  std::uint64_t backoff_seed = 1;  ///< jitter stream seed
   /// Override the worker command for a unit (tests dispatch /bin/sh stand-
   /// ins); null = the real thing, self_exe_path() + "sweep" on a
   /// single-task --grid with --resume --store.
@@ -116,12 +115,12 @@ struct ServeReport {
 };
 
 /// Deterministic retry delay: backoff_base_ms · 2^(attempt-1), capped at
-/// 60 s, times a jitter factor in [1, 1.5) drawn from (seed, salt,
-/// attempt) — pure function, so a retry schedule is reproducible and
-/// testable. `salt` is the work unit's task index (de-synchronizes
-/// sibling tasks that died together).
+/// 60 s, times a jitter factor in [1, 1.5) drawn from (salt, attempt) —
+/// pure function, so a retry schedule is reproducible and testable.
+/// `salt` is the work unit's task index (de-synchronizes sibling tasks
+/// that died together).
 double backoff_delay_ms(std::size_t attempt, double base_ms,
-                        std::uint64_t seed, std::uint64_t salt);
+                        std::uint64_t salt);
 
 /// The grid spec ("benchmarks=…;seeds=…;…") of the single-task grid a
 /// worker runs for `unit` — Grid::parse of it expands exactly the unit's

@@ -136,16 +136,15 @@ PpaReport Sta::analyze_with(const Netlist& nl, const place::Placement& pl,
   rep.die_area_um2 = pl.floorplan.die.area();
   rep.wirelength_um = wirelength_um;
 
-  const double f_ghz = 1.0 / op_.clock_period_ns;  // GHz
-  const double v2 = op_.vdd * op_.vdd;
+  const double f_ghz = 1.0 / kClockPeriodNs;  // GHz
+  const double v2 = kVdd * kVdd;
   double dyn_uw = 0.0;
   for (NetId n = 0; n < nl.num_nets(); ++n) {
     double c = par[n].cap_ff;
     for (const auto& s : nl.net(n).sinks)
       c += nl.type_of(s.cell).input_cap_ff;
     if (n < extra.size()) c += extra[n].cap_ff;
-    const double a =
-        (n < activity.size()) ? activity[n] : op_.default_activity;
+    const double a = (n < activity.size()) ? activity[n] : kDefaultActivity;
     // fF * V^2 * GHz = uW.
     dyn_uw += 0.5 * a * c * v2 * f_ghz;
   }

@@ -49,9 +49,15 @@ struct NetExtra {
   double delay_ps = 0.0;
 };
 
+/// Operating point of the conservative PPA analysis (paper: slow corner,
+/// 0.95 V).
+inline constexpr double kVdd = 0.95;  ///< volts
+inline constexpr double kClockPeriodNs = 2.0;
+/// Toggle probability per cycle of a net without a measured activity.
+inline constexpr double kDefaultActivity = 0.1;
+
 class Sta {
  public:
-  explicit Sta(netlist::OperatingPoint op = {}) : op_(op) {}
 
   /// Arrival time (ps) at every net, in topological order. `extra` may be
   /// empty or indexed by NetId.
@@ -81,9 +87,6 @@ class Sta {
                          double wirelength_um,
                          const std::vector<double>& activity = {},
                          const std::vector<NetExtra>& extra = {}) const;
-
- private:
-  netlist::OperatingPoint op_;
 };
 
 }  // namespace sm::timing

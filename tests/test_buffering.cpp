@@ -49,7 +49,6 @@ TEST_F(BufferingTest, StrengthTracksDistance) {
 
   place::BufferingOptions opts;
   opts.hpwl_threshold_um = 25;
-  opts.strength8_um = 100;
   const auto res = place::insert_buffers(nl, pl, opts);
   // Only the long net (near -> far, ~248 um) gets a repeater, strength 8.
   ASSERT_EQ(res.buffers_inserted, 1u);
@@ -66,10 +65,10 @@ TEST_F(BufferingTest, SkipListRespected) {
   place::Placer placer;
   auto pl = placer.place(nl);
   // Skip everything: nothing may change.
-  place::BufferingOptions opts;
-  for (NetId n = 0; n < nl.num_nets(); ++n) opts.skip.push_back(n);
+  std::vector<NetId> skip;
+  for (NetId n = 0; n < nl.num_nets(); ++n) skip.push_back(n);
   const std::size_t cells_before = nl.num_cells();
-  const auto res = place::insert_buffers(nl, pl, opts);
+  const auto res = place::insert_buffers(nl, pl, {}, skip);
   EXPECT_EQ(res.buffers_inserted, 0u);
   EXPECT_EQ(nl.num_cells(), cells_before);
 }
@@ -97,7 +96,8 @@ TEST_F(BufferingTest, FlowIntegrationKeepsEquivalence) {
   // The buffered layout, pinned to literal results (tests/layout_pins.hpp).
   sm::testing::expect_layout_pinned(
       design.layout, {{1360, 554, 271, 74, 74, 122, 8, 2, 0},
-                      145, 0, 529, 13638345291686258633ULL});
+                      145, 0, 529, 13638345291686258633ULL,
+                      11162816421238379864ULL});
 }
 
 TEST_F(BufferingTest, BufferedOriginalLayoutRoutes) {

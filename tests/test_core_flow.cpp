@@ -284,7 +284,8 @@ TEST_F(CoreFlowTest, NaiveLiftPinned) {
       layout_naive_lift(original, design.ledger.protected_nets(), flow());
   expect_layout_pinned(naive.layout,
                        {{535, 494, 494, 494, 494, 609, 208, 190, 90},
-                        943, 0, 196, 3076726656746776568ULL});
+                        943, 0, 196, 3076726656746776568ULL,
+                        17304588935850540409ULL});
 }
 
 TEST_F(CoreFlowTest, BaselinesPinned) {
@@ -292,15 +293,18 @@ TEST_F(CoreFlowTest, BaselinesPinned) {
   const auto placed = place_design(original, flow());
   expect_layout_pinned(layout_pin_swapped(original, flow(), 10, 3).layout,
                        {{509, 179, 71, 0, 0, 0, 0, 0, 0},
-                        76, 0, 196, 9192690299266882312ULL});
+                        76, 0, 196, 9192690299266882312ULL,
+                        9640118192179319248ULL});
   expect_layout_pinned(
       layout_routing_perturbed(original, flow(), placed, 0.1, 5, 3),
       {{486, 172, 99, 73, 61, 0, 0, 0, 0},
-       43, 0, 196, 10031245230596928577ULL});
+       43, 0, 196, 10031245230596928577ULL,
+       15796534518112122016ULL});
   expect_layout_pinned(
       layout_routing_blockage(original, flow(), placed, 3, 8.0, 4, 3),
       {{526, 408, 389, 383, 300, 73, 32, 6, 0},
-       211, 0, 196, 5422804269482508621ULL});
+       211, 0, 196, 5422804269482508621ULL,
+       5893895985111895216ULL});
 }
 
 TEST_F(CoreFlowTest, BlockagesPushWiringUp) {

@@ -483,7 +483,7 @@ TEST_F(RouterTest, AStarReturnsCheapestPath) {
   RouterOptions opts;
   opts.tie_jitter = 0.0;
   opts.passes = 1;
-  const double via_step = opts.via_cost + 1.0;
+  const double via_step = kViaCost + 1.0;
   sm::util::Rng rng(11);
   for (const int min_layer : {1, 3, 6}) {
     for (const bool with_blockage : {false, true}) {
@@ -530,7 +530,7 @@ TEST_F(RouterTest, AStarReturnsCheapestPath) {
         sm::util::GridRect window;
         window.expand(drv.x, drv.y);
         window.expand(snk.x, snk.y);
-        window = window.inflated(opts.bbox_margin)
+        window = window.inflated(kBboxMargin)
                      .clamped({0, 0, grid.nx() - 1, grid.ny() - 1});
         std::vector<GridPoint> targets;
         for (int l = 1; l <= min_layer; ++l)
@@ -560,7 +560,7 @@ TEST_F(RouterTest, ClippedFailureRetriesOnFullGrid) {
   t.net = 0;
   t.terminals = {{gcell(5, 15), 1}, {gcell(35, 15), 1}};
   RouterOptions opts;
-  ASSERT_EQ(opts.bbox_margin, 8);
+  ASSERT_EQ(kBboxMargin, 8);
   opts.blockages.push_back({Rect{gcell(18, 0), gcell(20, 25)}, 1, 10});
   const auto res = Router(opts).route({t}, area, stack);
   EXPECT_EQ(res.stats.failed_nets, 0u);

@@ -219,6 +219,7 @@ TEST(Store, LoadSkipsTornTailAndMergesFiles) {
 
   const auto store = sweep::load_store({p1, p2}, /*must_exist=*/true);
   EXPECT_EQ(store.skipped, 1u);
+  EXPECT_EQ(store.rejected, 0u);  // a torn tail, not a rejected record
   EXPECT_EQ(store.records.size(), 2u);
   EXPECT_TRUE(store.records.count(a.config_hash));
   EXPECT_TRUE(store.records.count(b.config_hash));
@@ -238,6 +239,7 @@ TEST(Store, LoadSkipsDeeplyNestedLine) {
   const auto store = sweep::load_store({path}, /*must_exist=*/true);
   EXPECT_EQ(store.lines, 2u);
   EXPECT_EQ(store.skipped, 1u);
+  EXPECT_EQ(store.rejected, 0u);  // util::json cannot parse it
   ASSERT_EQ(store.records.size(), 1u);
   EXPECT_TRUE(store.records.count(a.config_hash));
   std::remove(path.c_str());
@@ -280,6 +282,7 @@ TEST(Store, ParseRejectsOutOfRangeLayerAndVerdict) {
   const auto store = sweep::load_store({path}, /*must_exist=*/true);
   EXPECT_EQ(store.lines, 3u);
   EXPECT_EQ(store.skipped, 2u);
+  EXPECT_EQ(store.rejected, 2u);  // whole JSON that fails a range check
   ASSERT_EQ(store.records.size(), 1u);
   const auto& kept = store.records.begin()->second;
   EXPECT_EQ(kept.row.equiv, -1);
@@ -385,6 +388,7 @@ TEST(StoreReader, TornTailGluesIntoNextAppendAndSkips) {
   }
   EXPECT_EQ(r.poll(acc), 0u);
   EXPECT_EQ(acc.skipped, 1u);
+  EXPECT_EQ(acc.rejected, 0u);  // the glued line is a torn tail
   {
     std::ofstream f(path, std::ios::app);
     f << to_store_line(b) << '\n';

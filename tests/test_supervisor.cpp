@@ -160,24 +160,24 @@ TEST(WorkerGridSpec, RoundTripsToIdenticalHashes) {
 // ----------------------------------------------------------- backoff ---
 
 TEST(Backoff, DeterministicJitteredAndCapped) {
-  // Pure function of (attempt, base, seed, salt).
-  EXPECT_EQ(sweep::backoff_delay_ms(0, 100, 1, 0), 0.0);
-  EXPECT_EQ(sweep::backoff_delay_ms(3, 100, 1, 5),
-            sweep::backoff_delay_ms(3, 100, 1, 5));
+  // Pure function of (attempt, base, salt).
+  EXPECT_EQ(sweep::backoff_delay_ms(0, 100, 0), 0.0);
+  EXPECT_EQ(sweep::backoff_delay_ms(3, 100, 5),
+            sweep::backoff_delay_ms(3, 100, 5));
   // Exponential envelope with jitter in [1, 1.5).
   for (std::size_t attempt = 1; attempt <= 6; ++attempt) {
     const double expo = 100.0 * static_cast<double>(1u << (attempt - 1));
-    const double d = sweep::backoff_delay_ms(attempt, 100, 1, 0);
+    const double d = sweep::backoff_delay_ms(attempt, 100, 0);
     EXPECT_GE(d, expo) << attempt;
     EXPECT_LT(d, 1.5 * expo) << attempt;
   }
   // The exponential part caps at 60 s no matter how many attempts.
-  const double huge = sweep::backoff_delay_ms(40, 1000, 1, 0);
+  const double huge = sweep::backoff_delay_ms(40, 1000, 0);
   EXPECT_GE(huge, 60000.0);
   EXPECT_LT(huge, 90000.0);
   // Different salts (task indices) de-synchronize sibling retries.
-  EXPECT_NE(sweep::backoff_delay_ms(1, 100, 1, 0),
-            sweep::backoff_delay_ms(1, 100, 1, 1));
+  EXPECT_NE(sweep::backoff_delay_ms(1, 100, 0),
+            sweep::backoff_delay_ms(1, 100, 1));
 }
 
 // ------------------------------------------------------------- serve ---
