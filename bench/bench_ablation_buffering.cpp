@@ -10,7 +10,7 @@
 
 int main(int argc, char** argv) {
   using namespace sm;
-  const auto suite = bench::parse_suite(argc, argv);
+  const auto suite = bench::parse_suite(argc, argv, {"patterns"});
   bench::print_header("Ablation: drive-strength hint (BUFX8 argument)");
 
   const std::string name = suite.only.empty() ? "c1908" : suite.only.front();

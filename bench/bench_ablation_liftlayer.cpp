@@ -10,7 +10,7 @@
 
 int main(int argc, char** argv) {
   using namespace sm;
-  const auto suite = bench::parse_suite(argc, argv);
+  const auto suite = bench::parse_suite(argc, argv, {"patterns"});
   bench::print_header("Ablation: correction-cell pin layer (lift layer)");
 
   const std::string name = suite.only.empty() ? "c1355" : suite.only.front();

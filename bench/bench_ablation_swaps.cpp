@@ -8,7 +8,7 @@
 
 int main(int argc, char** argv) {
   using namespace sm;
-  const auto suite = bench::parse_suite(argc, argv);
+  const auto suite = bench::parse_suite(argc, argv, {"patterns", "quick"});
   bench::print_header("Ablation: swap budget vs security and PPA cost");
 
   const std::string name = suite.only.empty() ? "c880" : suite.only.front();

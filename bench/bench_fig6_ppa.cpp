@@ -10,7 +10,7 @@
 
 int main(int argc, char** argv) {
   using namespace sm;
-  const auto suite = bench::parse_suite(argc, argv);
+  const auto suite = bench::parse_suite(argc, argv, {"quick"});
   bench::print_header(
       "Fig. 6: PPA overheads vs [8] (ISCAS-85, 20% budget for Proposed)");
 

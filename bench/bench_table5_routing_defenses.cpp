@@ -16,7 +16,8 @@
 int main(int argc, char** argv) {
   using namespace sm;
   using sweep::Defense;
-  const auto suite = bench::parse_suite(argc, argv, {"jobs"});
+  const auto suite = bench::parse_suite(
+      argc, argv, {"scale", "patterns", "quick", "jobs"});
   bench::print_header(
       "Table 5: proximity attack vs routing-perturbation defenses "
       "(ISCAS-85, averaged over splits M3/M4/M5)");

@@ -1,21 +1,25 @@
-// Shared plumbing for the per-table/figure bench harnesses.
+// Shared plumbing for the paper table/figure benches.
 //
 // Every bench accepts:
-//   --scale=<f>     superblue clone scale (default 0.01 of published size)
 //   --seed=<n>      master seed (default 1)
-//   --patterns=<n>  simulation patterns for OER/HD (default 100000;
-//                   the paper uses 1,000,000 — pass --patterns=1000000 to
-//                   match, at ~10x the runtime)
-//   --quick         clip benchmark lists for smoke runs
 //   --benchmarks=a,b,c   explicit benchmark subset (empty entries skipped,
 //                        so a trailing comma is harmless)
 //
-// and names its own further flags to parse_suite; any other flag fails.
-// Tables 1, 4 and 5 take
-//   --jobs=<n>      worker threads (default 1; 0 = hardware concurrency).
-//                   Results are bit-identical for any value — benches
-//                   compute into index-addressed slots (Table 1) or grid
-//                   rows (Tables 4 and 5) and render afterwards.
+// and names the further flags it reads to parse_suite; any other flag
+// fails. Those extras are, per bench:
+//   --scale=<f>     superblue clone scale (default 0.01 of published size):
+//                   bench_superblue_layouts, Tables 4 and 5
+//   --patterns=<n>  simulation patterns for OER/HD (default 100000; the
+//                   paper uses 1,000,000 — pass --patterns=1000000 to
+//                   match, at ~10x the runtime): Tables 4 and 5 and the
+//                   three ablations
+//   --quick         clip benchmark lists for smoke runs: every bench but
+//                   bench_ablation_liftlayer and bench_ablation_buffering
+//   --jobs=<n>      worker threads (default 1; 0 = hardware concurrency):
+//                   bench_superblue_layouts, Tables 4 and 5. Results are
+//                   bit-identical for any value — benches compute into
+//                   index-addressed slots (bench_superblue_layouts) or
+//                   grid rows (Tables 4 and 5) and render afterwards.
 //
 // Flows come from sweep::task_flow / sweep::task_randomize, the recipe the
 // sweep grid, sm_flow and the quickstart example use too. The split-layer
@@ -49,14 +53,14 @@ struct SuiteOptions {
   std::vector<std::string> only;  ///< benchmark filter (empty = all)
 };
 
-/// Parse the flags every bench shares plus `extra`, the bench's own keys.
-/// Throws std::invalid_argument on any other flag, so a flag the bench
-/// would not read fails instead of being ignored.
+/// Parse the flags every bench shares plus `extra`, the further flags the
+/// bench reads. Throws std::invalid_argument on any other flag, so a flag
+/// the bench would not read fails instead of being ignored; a field whose
+/// flag is not accepted keeps its default.
 inline SuiteOptions parse_suite(int argc, const char* const* argv,
                                 std::initializer_list<const char*> extra = {}) {
   util::Args args(argc, argv);
-  std::vector<std::string> known{"scale", "seed", "patterns", "quick",
-                                 "benchmarks"};
+  std::vector<std::string> known{"seed", "benchmarks"};
   known.insert(known.end(), extra.begin(), extra.end());
   args.reject_unknown(known);
   SuiteOptions s;

@@ -74,6 +74,9 @@ class StructuralClasses {
   }
 
   std::uint64_t gate_class(LogicFn fn, std::vector<std::uint64_t> children) {
+    // A buffer is the identity, so a repeater-sized netlist hashes like the
+    // netlist it sizes.
+    if (fn == LogicFn::Buf) return children.at(0);
     if (commutative(fn)) std::sort(children.begin(), children.end());
     // Aoi21/Oai21: the first two children commute.
     if ((fn == LogicFn::Aoi21 || fn == LogicFn::Oai21) && children.size() == 3 &&

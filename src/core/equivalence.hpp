@@ -4,7 +4,8 @@
 // module implements a layered checker:
 //   1. structural hashing — canonical classes over both netlists; equal
 //      classes on every observer prove equivalence instantly (this closes
-//      the common case: a restored netlist is structurally the original);
+//      the common case: a restored netlist is structurally the original,
+//      and a buffer takes its input's class, so repeaters do not count);
 //   2. random simulation — 64-wide patterns find counterexamples fast on
 //      inequivalent pairs (an erroneous netlist with OER ~100% falls here
 //      within one word);

@@ -28,7 +28,11 @@ std::string canonical_flow_json(const FlowOptions& opts) {
   util::JsonWriter w;
   w.begin_object();
   w.key("activity_patterns").value(kActivityPatterns);
-  w.key("auto_gcell").value(kAutoGcell);
+  // Fixed literals, here and at "gcell_um": route_step always sizes the
+  // gcell from the die, so router.gcell_um reaches no layout and is not
+  // hashed. Every stored hash covers "auto_gcell":true and the router's
+  // default "gcell_um":2.8, so writing them keeps every hash unchanged.
+  w.key("auto_gcell").value(true);
   w.key("buffering").value(opts.buffering);
   w.key("buffering_opts").begin_object();
   w.key("hpwl_threshold_um").value(opts.buffering_opts.hpwl_threshold_um);
@@ -67,7 +71,7 @@ std::string canonical_flow_json(const FlowOptions& opts) {
     w.end_object();
   }
   w.end_array();
-  w.key("gcell_um").value(opts.router.gcell_um);
+  w.key("gcell_um").value(2.8);
   w.key("history_increment").value(route::kHistoryIncrement);
   w.key("overflow_penalty").value(route::kOverflowPenalty);
   // A fixed literal: the router's former scheduler option, whose default
@@ -121,11 +125,13 @@ void route_step(const Netlist& nl, LayoutResult& layout,
                       {plan.cells[wire.to_cell].pos, plan.pin_layer}},
                      plan.pin_layer});
 
+  // The gcell follows the die (small ISCAS dies need a fine grid or vpin
+  // positions quantize away the proximity signal): the die's longer side
+  // over 48, clamped to [1, 2.8] um.
   const util::Rect& die = layout.placement.floorplan.die;
   route::RouterOptions ropts = opts.router;
-  if (kAutoGcell)
-    ropts.gcell_um =
-        std::clamp(std::max(die.width(), die.height()) / 48.0, 1.0, 2.8);
+  ropts.gcell_um =
+      std::clamp(std::max(die.width(), die.height()) / 48.0, 1.0, 2.8);
   layout.routing = route::Router(ropts).route(tasks, die, nl.library().metal());
 }
 

@@ -47,9 +47,10 @@ PlacedDesign place_design(const netlist::Netlist& nl, const FlowOptions& opts,
 /// `layout.placement`, each at or above `min_layer[net]` (M1 when empty);
 /// adds each cell of `plan` as one more terminal of the net it taps, at the
 /// plan's pin layer; appends the plan's pair wires as BEOL-only tasks after
-/// the net tasks; and routes them on a gcell grid sized to the die
-/// (kAutoGcell). Fills the layout's tasks, num_net_tasks and routing; the
-/// PPA stays with the caller.
+/// the net tasks; and routes them on a gcell grid sized to the die (the
+/// longer side over 48, clamped to 1-2.8 um), whatever opts.router.gcell_um
+/// says. Fills the layout's tasks, num_net_tasks and routing; the PPA stays
+/// with the caller.
 void route_step(const netlist::Netlist& nl, LayoutResult& layout,
                 const FlowOptions& opts,
                 const std::vector<int>& min_layer = {},

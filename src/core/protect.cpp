@@ -101,25 +101,10 @@ ProtectedDesign protect(const Netlist& original,
   // correction-cell delays/input loads (characteristics of BUF_X2).
   auto par = timing::extract_parasitics(out.erroneous, out.layout.routing);
   std::vector<timing::NetParasitics> wire_par(out.plan.wires.size());
-  for (std::size_t w = 0; w < out.plan.wires.size(); ++w) {
-    const auto& r = out.layout.routing.routes[out.layout.num_net_tasks + w];
-    const auto& stack = original.library().metal();
-    const double g = out.layout.routing.grid.gcell_um();
-    for (const auto& seg : r.segments) {
-      if (seg.is_via()) {
-        const int lo = std::min(seg.a.layer, seg.b.layer);
-        const int hi = std::max(seg.a.layer, seg.b.layer);
-        for (int l = lo; l < hi; ++l) {
-          wire_par[w].cap_ff += stack.via_cap_ff(l);
-          wire_par[w].res_kohm += stack.via_res_ohm(l) / 1000.0;
-        }
-      } else {
-        const auto& m = stack.layer(seg.a.layer);
-        wire_par[w].cap_ff += seg.gcell_length() * g * m.cap_ff_per_um;
-        wire_par[w].res_kohm += seg.gcell_length() * g * m.res_ohm_per_um / 1000.0;
-      }
-    }
-  }
+  for (std::size_t w = 0; w < out.plan.wires.size(); ++w)
+    wire_par[w] = timing::route_parasitics(
+        out.layout.routing.routes[out.layout.num_net_tasks + w],
+        original.library().metal(), out.layout.routing.grid.gcell_um());
   const auto& corr = original.library().type(original.library().correction_cell());
   std::vector<timing::NetExtra> extra(restored.num_nets());
   // Snapshot the fabricated parasitics: partner contributions must come from

@@ -30,14 +30,11 @@ namespace sm::core {
 
 /// Stimuli behind the power activities (sim::toggle_rates).
 inline constexpr std::size_t kActivityPatterns = 4096;
-/// The routing gcell follows the die size (small ISCAS dies need a fine
-/// grid or vpin positions quantize away the proximity signal): the die's
-/// longer side over 48, clamped to [1, 2.8] um. False would route on
-/// router.gcell_um verbatim.
-inline constexpr bool kAutoGcell = true;
 
 struct FlowOptions {
   place::PlacerOptions placer;
+  /// Every router setting but the gcell: the flow sizes the gcell from the
+  /// die itself (core::route_step), so router.gcell_um reaches no layout.
   route::RouterOptions router;
   int lift_layer = 6;  ///< correction-cell pin layer (M6 ISCAS, M8 superblue)
   std::uint64_t seed = 1;

@@ -12,30 +12,37 @@ using netlist::kInvalidNet;
 using netlist::NetId;
 using netlist::Netlist;
 
+NetParasitics route_parasitics(const route::NetRoute& route,
+                               const netlist::MetalStack& stack,
+                               double gcell_um) {
+  NetParasitics p;
+  for (const auto& seg : route.segments) {
+    if (seg.is_via()) {
+      const int lo = std::min(seg.a.layer, seg.b.layer);
+      const int hi = std::max(seg.a.layer, seg.b.layer);
+      for (int l = lo; l < hi; ++l) {
+        p.cap_ff += stack.via_cap_ff(l);
+        p.res_kohm += stack.via_res_ohm(l) / 1000.0;
+      }
+    } else {
+      const double len = seg.gcell_length() * gcell_um;
+      const auto& m = stack.layer(seg.a.layer);
+      p.cap_ff += len * m.cap_ff_per_um;
+      p.res_kohm += len * m.res_ohm_per_um / 1000.0;
+    }
+  }
+  return p;
+}
+
 std::vector<NetParasitics> extract_parasitics(
     const Netlist& nl, const route::RoutingResult& routing) {
   std::vector<NetParasitics> par(nl.num_nets());
   const auto& stack = nl.library().metal();
   const double g = routing.grid.gcell_um();
-  for (const auto& r : routing.routes) {
-    if (r.net == kInvalidNet || r.net >= nl.num_nets()) continue;
-    NetParasitics& p = par[r.net];
-    for (const auto& seg : r.segments) {
-      if (seg.is_via()) {
-        const int lo = std::min(seg.a.layer, seg.b.layer);
-        const int hi = std::max(seg.a.layer, seg.b.layer);
-        for (int l = lo; l < hi; ++l) {
-          p.cap_ff += stack.via_cap_ff(l);
-          p.res_kohm += stack.via_res_ohm(l) / 1000.0;
-        }
-      } else {
-        const double len = seg.gcell_length() * g;
-        const auto& m = stack.layer(seg.a.layer);
-        p.cap_ff += len * m.cap_ff_per_um;
-        p.res_kohm += len * m.res_ohm_per_um / 1000.0;
-      }
-    }
-  }
+  // Routes run parallel to the route tasks, one task per net.
+  for (const auto& r : routing.routes)
+    if (r.net != kInvalidNet && r.net < nl.num_nets())
+      par[r.net] = route_parasitics(r, stack, g);
   return par;
 }
 

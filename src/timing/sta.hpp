@@ -23,8 +23,15 @@ struct NetParasitics {
   double res_kohm = 0.0;
 };
 
-/// Extract per-net parasitics from actual routes (wire + via RC per layer).
-/// Nets without a route get zero parasitics (pin caps still count).
+/// Wire + via RC of one route: each segment's length on its layer, and
+/// each via per layer boundary it crosses, on a grid of `gcell_um` gcells.
+NetParasitics route_parasitics(const route::NetRoute& route,
+                               const netlist::MetalStack& stack,
+                               double gcell_um);
+
+/// Extract per-net parasitics from actual routes (route_parasitics of each
+/// net's route). Nets without a route get zero parasitics (pin caps still
+/// count).
 std::vector<NetParasitics> extract_parasitics(
     const netlist::Netlist& nl, const route::RoutingResult& routing);
 

@@ -1,6 +1,8 @@
 // SAT solver and layered equivalence-checker tests.
 #include "core/equivalence.hpp"
 #include "core/randomizer.hpp"
+#include "place/buffering.hpp"
+#include "place/placer.hpp"
 #include "sat/solver.hpp"
 #include "sim/simulator.hpp"
 #include "workloads/generator.hpp"
@@ -125,6 +127,18 @@ TEST_F(EquivTest, RestoredNetlistIsEquivalent) {
   const auto res = core::check_equivalence(nl, rr.erroneous);
   EXPECT_EQ(res.verdict, core::EquivVerdict::Equivalent);
   EXPECT_EQ(res.method, "structural");  // restoration is structurally exact
+}
+
+TEST_F(EquivTest, RepeatersAreStructurallyTransparent) {
+  // Repeater insertion changes the structure but not the function; the
+  // structural layer sees through the buffers, so no SAT miter is needed.
+  const auto nl = workloads::generate(lib, workloads::iscas85_profile("c880"), 1);
+  auto sized = nl.clone();
+  auto pl = place::Placer().place(sized);
+  ASSERT_GT(place::insert_buffers(sized, pl).buffers_inserted, 0u);
+  const auto res = core::check_equivalence(nl, sized);
+  EXPECT_EQ(res.verdict, core::EquivVerdict::Equivalent);
+  EXPECT_EQ(res.method, "structural");
 }
 
 TEST_F(EquivTest, ErroneousNetlistIsInequivalentWithCounterexample) {

@@ -5,6 +5,7 @@
 // config-hash pins that hold hash stability across releases.
 #include "sweep/store.hpp"
 
+#include "core/pipeline.hpp"
 #include "util/config_hash.hpp"
 #include "util/json.hpp"
 
@@ -518,6 +519,15 @@ TEST(StoreCells, HashIgnoresSchedulingOptions) {
   ASSERT_EQ(ca.size(), cb.size());
   for (std::size_t i = 0; i < ca.size(); ++i)
     EXPECT_EQ(ca[i].config_hash, cb[i].config_hash);
+}
+
+TEST(StoreCells, FlowHashIgnoresTheGcellSetting) {
+  // The flow sizes the gcell from the die, so router.gcell_um reaches no
+  // layout and must not move a config hash either.
+  core::FlowOptions a;
+  core::FlowOptions b = a;
+  b.router.gcell_um = 1.4;
+  EXPECT_EQ(core::canonical_flow_json(a), core::canonical_flow_json(b));
 }
 
 TEST(StoreCells, HashCoversEveryGridCoordinateAndPatterns) {
